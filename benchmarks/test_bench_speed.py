@@ -21,7 +21,6 @@ from repro.analysis.speed import (
     measure_obs_overhead,
     measure_racecheck_overhead,
     measure_slab_savings,
-    measure_timer_churn_speed,
     measure_zerocopy_speed,
 )
 
@@ -149,8 +148,8 @@ def test_racecheck_overhead(benchmark):
 def test_many_connection_speed(benchmark):
     """Scale points: the many-connection workload at 1k and 10k residents.
 
-    These points track the engine's scaling regime — timer-wheel churn
-    absorption, slab recycling, and batched link delivery all in play —
+    These points track the engine's scaling regime — timer churn, slab
+    recycling, and batched link delivery all in play —
     where the classic Figure 7 mix only exercises up to 4 streams.  The
     workload is fully seeded, so ``events_fired`` / ``transactions`` /
     ``allocations_saved`` are deterministic; wall figures carry the perf
@@ -192,43 +191,22 @@ def test_many_connection_speed(benchmark):
     _merge_bench({"scale": scale})
 
 
-def test_slab_and_timer_structure(benchmark):
-    """Structural counters for the engine's recycling and timer tiers.
+def test_slab_structure(benchmark):
+    """Structural counters for the packet slab.
 
-    Two deterministic gates:
-
-    * the packet slab must save allocations on the standard streaming
-      point (``allocations_saved > 0`` — a zero means recycling silently
-      disconnected), without perturbing the run (``events_fired`` must
-      match the figure7 UP-optimized point exactly);
-    * the timer wheel must absorb cancel churn before it reaches the heap
-      (``cancels_absorbed > 0``) and keep the heap strictly smaller than
-      the heap-only engine on the RTO re-arm pattern, while firing a
-      bit-identical event sequence (asserted inside the probe).
+    The slab must save allocations on the standard streaming point
+    (``allocations_saved > 0`` — a zero means recycling silently
+    disconnected), without perturbing the run (``events_fired`` must match
+    the figure7 UP-optimized point exactly).
     """
-
-    def run_probes():
-        return {
-            "slab": measure_slab_savings(quick=True),
-            "timer_churn": measure_timer_churn_speed(
-                n_connections=500, rounds=200
-            ),
-        }
-
-    report = benchmark.pedantic(run_probes, rounds=1, iterations=1)
-    slab, churn = report["slab"], report["timer_churn"]
+    slab = benchmark.pedantic(
+        measure_slab_savings, kwargs={"quick": True}, rounds=1, iterations=1
+    )
     print(
         f"\nslab: saved={slab['allocations_saved']:,} "
         f"released={slab['released']:,} overflow={slab['overflow']:,}"
     )
-    print(
-        f"timer churn: heap-only peak={churn['heap_only']['heap_peak']:,} "
-        f"wheel peak={churn['wheel']['heap_peak']:,} "
-        f"(x{churn['heap_peak_ratio']:.1f} smaller), "
-        f"cancels absorbed={churn['wheel']['cancels_absorbed']:,}"
-    )
     benchmark.extra_info["allocations_saved"] = slab["allocations_saved"]
-    benchmark.extra_info["heap_peak_ratio"] = round(churn["heap_peak_ratio"], 2)
 
     assert slab["slab_enabled"]
     assert slab["allocations_saved"] > 0
@@ -245,10 +223,8 @@ def test_slab_and_timer_structure(benchmark):
         )
         if up_opt is not None:
             assert slab["events_fired"] == up_opt["events_fired"]
-    assert churn["wheel"]["cancels_absorbed"] > 0
-    assert churn["wheel"]["heap_peak"] < churn["heap_only"]["heap_peak"]
 
-    _merge_bench({"slab": slab, "timer_churn": churn})
+    _merge_bench({"slab": slab})
 
 
 def test_zerocopy_structure(benchmark):

@@ -321,14 +321,6 @@ def measure_slab_savings(quick: bool = True) -> Dict[str, object]:
             misses=slab.misses,
             free_len=len(slab.free),
         )
-    wheel = sim.wheel
-    if wheel is not None:
-        report["wheel"] = {
-            "inserts": wheel.inserts,
-            "cancelled_in_wheel": wheel.cancelled_in_wheel,
-            "flushed": wheel.flushed,
-            "purged": wheel.purged,
-        }
     return report
 
 
@@ -368,77 +360,6 @@ def measure_zerocopy_speed(quick: bool = True) -> Dict[str, object]:
             / points["small_copy"]["cyc_per_byte"]
             if points["small_copy"]["cyc_per_byte"] > 0
             else 0.0
-        ),
-    }
-
-
-def measure_timer_churn_speed(
-    n_connections: int = 1000, rounds: int = 400
-) -> Dict[str, object]:
-    """Engine-only A/B probe of the TCP arm/cancel timer pattern.
-
-    Each simulated "connection" re-arms a 200 ms RTO-style timer on every
-    61 us segment arrival, cancelling the previous one — the pure timer
-    churn the wheel stages, with no protocol work attached.  Runs the same
-    event script on a heap-only engine and a wheel engine and reports both,
-    plus the structural counters that are the wheel's actual win: cancelled
-    entries absorbed before ever reaching the heap, and the peak heap size
-    each engine needed.  Firing counts are asserted identical (the
-    bit-identical ordering contract).
-    """
-    from repro.sim.engine import Simulator
-
-    def run_one(use_wheel: bool) -> Dict[str, object]:
-        sim = Simulator(use_wheel=use_wheel)
-        timers: List[object] = [None] * n_connections
-        remaining = [rounds] * n_connections
-        heap_peak = 0
-
-        def arrival(i: int) -> None:
-            nonlocal heap_peak
-            t = timers[i]
-            if t is not None:
-                t.cancel()
-            timers[i] = sim.schedule(0.200, fire, i)
-            remaining[i] -= 1
-            if remaining[i] > 0:
-                sim.post(61e-6, arrival, i)
-            n = len(sim._heap)
-            if n > heap_peak:
-                heap_peak = n
-
-        def fire(i: int) -> None:
-            timers[i] = None
-
-        for i in range(n_connections):
-            sim.post(i * 1e-7, arrival, i)
-        t0 = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - t0
-        out: Dict[str, object] = {
-            "wall_s": wall,
-            "events_fired": sim.events_fired,
-            "events_per_sec": sim.events_fired / wall if wall > 0 else 0.0,
-            "heap_peak": heap_peak,
-        }
-        wheel = sim.wheel
-        if wheel is not None:
-            out["cancels_absorbed"] = wheel.cancelled_in_wheel
-            out["inserts"] = wheel.inserts
-        return out
-
-    heap_only = run_one(False)
-    wheel = run_one(True)
-    assert heap_only["events_fired"] == wheel["events_fired"]
-    return {
-        "probe": "timer-churn",
-        "n_connections": n_connections,
-        "rounds": rounds,
-        "heap_only": heap_only,
-        "wheel": wheel,
-        "heap_peak_ratio": (
-            heap_only["heap_peak"] / wheel["heap_peak"]
-            if wheel["heap_peak"] else 0.0
         ),
     }
 

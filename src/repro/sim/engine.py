@@ -1,6 +1,6 @@
-"""Event-heap simulator core with a hierarchical timer-wheel front end.
+"""Event-heap simulator core.
 
-The simulator keeps a priority queue of plain tuples ordered by
+The simulator keeps one priority queue of plain tuples ordered by
 (time, sequence-number).  The sequence number makes ordering deterministic for
 events scheduled at the same instant: they fire in scheduling order.
 
@@ -11,19 +11,10 @@ into Python.  ``handle`` is ``None`` on the fast path
 :class:`Event` cancellation token is only allocated when the caller needs
 one (:meth:`Simulator.schedule` / :meth:`Simulator.at`).
 
-Entries due beyond the current ~61 us tick park in a
-:class:`~repro.sim.timers.HierarchicalTimerWheel` instead of the heap, and
-each wheel bucket is flushed into the heap strictly before simulated time
-enters its tick — so every event that fires still fires from the heap with
-its original ``(time, seq)`` key, and event order is bit-identical to the
-heap-only engine (``Simulator(use_wheel=False)``, kept as the differential
-baseline).  What the wheel changes is cancellation: a cancelled wheel entry
-is dropped at bucket flush/cascade without ever being heap-pushed, making
-the arm/cancel pattern TCP RTO and delayed-ACK timers generate O(1).  For
-entries that do reach the heap, cancellation stays lazy — the entry is
-skipped when it surfaces, and the heap is compacted whenever cancelled
-entries outnumber live ones.  Events beyond the wheel's ~17-minute horizon
-simply stay in the heap (the far-future overflow tier).
+Cancellation is lazy: a cancelled entry stays in the heap and is skipped
+when it surfaces, and the heap is compacted in place whenever cancelled
+entries outnumber live ones, so the arm/cancel churn of TCP RTO and
+delayed-ACK timers cannot grow it without bound.
 
 Time is a float in *seconds*.  All subsystems (links, NICs, CPUs, TCP timers)
 schedule callbacks through one shared simulator instance.
@@ -32,33 +23,13 @@ schedule callbacks through one shared simulator instance.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional, Tuple
-
-from repro.sim.timers import (
-    _HORIZON_TICKS,
-    _INV_TICK,
-    HierarchicalTimerWheel,
-    SLOTS,
-    TICK_S,
-    tick_of,
-)
 
 #: Compact the heap when it holds more than this many cancelled entries and
 #: they outnumber the live ones.
 _COMPACT_MIN_CANCELLED = 64
 
-#: Entries due within this many ticks of the wheel origin skip the wheel and
-#: go straight to the heap: wire deliveries and CPU task drains land a frame
-#: time or two ahead, would be flushed almost immediately, and are never
-#: cancelled — staging them would be pure overhead.
-_NEAR_TICKS = 8
-
 _INF = float("inf")
-
-#: ``REPRO_HEAP_ONLY=1`` forces the pre-wheel engine everywhere — the
-#: baseline for A/B speed measurements on identical code.
-_DEFAULT_USE_WHEEL = os.environ.get("REPRO_HEAP_ONLY") != "1"
 
 
 class SimulationError(RuntimeError):
@@ -70,49 +41,35 @@ class Event:
 
     Events are created through :meth:`Simulator.schedule` (or
     :meth:`Simulator.at`) and may be cancelled with :meth:`cancel`.
-    While the entry is parked in the timer wheel, cancellation is O(1)
-    (the zombie is purged when its bucket is flushed); once it has been
-    flushed to the heap, cancellation is lazy — the heap entry stays in
-    place and is skipped when it surfaces (subject to periodic compaction).
+    Cancellation is lazy — the heap entry stays in place and is skipped
+    when it surfaces (subject to periodic compaction).
     """
 
-    __slots__ = ("time", "seq", "cancelled", "in_wheel", "_fired", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "_fired", "_sim")
 
     def __init__(self, time: float, seq: int, sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.cancelled = False
-        #: True while the entry is resident in a wheel bucket; cleared when
-        #: the bucket is flushed to the heap (or on cancel).
-        self.in_wheel = False
         self._fired = False
         self._sim = sim
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent.
 
-        The bookkeeping is inlined (mirroring ``Simulator._on_cancel`` /
-        ``_on_cancel_wheel``) — TCP arms and cancels a timer per segment,
-        so this runs millions of times per long simulation.
+        The simulator's bookkeeping is inlined here — TCP arms and cancels
+        a timer per segment, so this runs millions of times per long
+        simulation.
         """
         if self.cancelled or self._fired:
             return
         self.cancelled = True
         sim = self._sim
         sim._pending -= 1
-        if self.in_wheel:
-            self.in_wheel = False
-            wheel = sim._wheel
-            wheel.count -= 1
-            wheel.cancelled_in_wheel += 1
-        else:
-            cancelled = sim._cancelled + 1
-            sim._cancelled = cancelled
-            if (
-                cancelled > _COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(sim._heap)
-            ):
-                sim._compact()
+        cancelled = sim._cancelled + 1
+        sim._cancelled = cancelled
+        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > len(sim._heap):
+            sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self._fired else ("cancelled" if self.cancelled else "pending")
@@ -128,14 +85,14 @@ class Simulator:
         sim.schedule(1e-3, print, "one millisecond elapsed")
         sim.run()
         assert sim.now == 1e-3
-
-    ``use_wheel=False`` (or ``REPRO_HEAP_ONLY=1`` in the environment)
-    disables the timer-wheel front end and runs everything through the
-    heap, exactly as before the wheel existed — event order is identical
-    either way; only the cost of timer churn differs.
     """
 
-    def __init__(self, use_wheel: Optional[bool] = None) -> None:
+    #: There is no timer-wheel tier.  The attribute stays, always ``None``,
+    #: because ``perfbench/workloads.py`` reads ``sim.wheel`` and counts
+    #: wheel inserts only when it is not ``None``.
+    wheel = None
+
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[..., Any], tuple, Optional[Event]]] = []
         self._seq: int = 0
@@ -143,19 +100,6 @@ class Simulator:
         self._pending: int = 0
         self._cancelled: int = 0
         self._running: bool = False
-        if use_wheel is None:
-            use_wheel = _DEFAULT_USE_WHEEL
-        #: Timer-wheel staging tier (None = heap-only engine).
-        self._wheel: Optional[HierarchicalTimerWheel] = (
-            HierarchicalTimerWheel() if use_wheel else None
-        )
-        #: Lower bound on the earliest wheel-resident entry's time; +inf
-        #: while the wheel is empty, so the hot loop pays one float compare.
-        self._wheel_deadline: float = _INF
-        #: Times below this line never try the wheel (within _NEAR_TICKS of
-        #: the wheel origin).  Advisory: staleness only costs a rejected
-        #: try_insert, never correctness.  +inf disables the wheel entirely.
-        self._wheel_nearline: float = _NEAR_TICKS * TICK_S if use_wheel else _INF
         #: Registered after-event observers, in installation order (see
         #: :meth:`push_after_event_hook`).
         self._after_event_hooks: List[Callable[[], None]] = []
@@ -178,14 +122,7 @@ class Simulator:
         return self.at(self.now + delay, fn, *args)
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulation ``time``.
-
-        The wheel insert is inlined (a verbatim mirror of
-        :meth:`~repro.sim.timers.HierarchicalTimerWheel.try_insert`, which
-        stays as the reference implementation the differential tests drive):
-        TCP arms a timer per segment, and a Python-level call chain per arm
-        costs more than the insert itself.
-        """
+        """Schedule ``fn(*args)`` at absolute simulation ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
@@ -194,33 +131,6 @@ class Simulator:
         self._seq = serial + 1
         ev = Event(time, serial, self)
         self._pending += 1
-        if time >= self._wheel_nearline:
-            wheel = self._wheel
-            if wheel.count == 0:
-                now = self.now
-                nb = int(now * _INV_TICK)
-                if nb and nb * TICK_S > now:
-                    nb -= 1
-                if nb > wheel.base_tick:
-                    wheel.base_tick = nb
-            k = int(time * _INV_TICK)
-            if k and k * TICK_S > time:
-                k -= 1
-            delta = k - wheel.base_tick
-            if 1 <= delta < _HORIZON_TICKS:
-                if delta < SLOTS:
-                    wheel._levels[0][k & 0xFF].append((time, serial, fn, args, ev))
-                elif delta < SLOTS * SLOTS:
-                    wheel._levels[1][(k >> 8) & 0xFF].append((time, serial, fn, args, ev))
-                else:
-                    wheel._levels[2][(k >> 16) & 0xFF].append((time, serial, fn, args, ev))
-                wheel.count += 1
-                wheel.inserts += 1
-                ev.in_wheel = True
-                if self._wheel_deadline == _INF:
-                    self._wheel_deadline = wheel.base_tick * TICK_S
-                    self._wheel_nearline = (wheel.base_tick + _NEAR_TICKS) * TICK_S
-                return ev
         heapq.heappush(self._heap, (time, serial, fn, args, ev))
         return ev
 
@@ -234,12 +144,7 @@ class Simulator:
         """Fire-and-forget :meth:`at`: no cancellation token is built.
 
         This is the hot path for wire deliveries and CPU task drains, which
-        are never cancelled.  Near-future times (the overwhelmingly common
-        case) cost exactly one extra float compare over a bare heappush;
-        far-future ones (periodic machinery: samplers, watchdogs, fault
-        windows) park in the wheel and keep the heap small.  The wheel
-        insert is the same inlined mirror of ``try_insert`` as in
-        :meth:`at`.
+        are never cancelled.
         """
         if time < self.now:
             raise SimulationError(
@@ -248,40 +153,8 @@ class Simulator:
         serial = self._seq
         self._seq = serial + 1
         self._pending += 1
-        if time >= self._wheel_nearline:
-            wheel = self._wheel
-            if wheel.count == 0:
-                now = self.now
-                nb = int(now * _INV_TICK)
-                if nb and nb * TICK_S > now:
-                    nb -= 1
-                if nb > wheel.base_tick:
-                    wheel.base_tick = nb
-            k = int(time * _INV_TICK)
-            if k and k * TICK_S > time:
-                k -= 1
-            delta = k - wheel.base_tick
-            if 1 <= delta < _HORIZON_TICKS:
-                if delta < SLOTS:
-                    wheel._levels[0][k & 0xFF].append((time, serial, fn, args, None))
-                elif delta < SLOTS * SLOTS:
-                    wheel._levels[1][(k >> 8) & 0xFF].append((time, serial, fn, args, None))
-                else:
-                    wheel._levels[2][(k >> 16) & 0xFF].append((time, serial, fn, args, None))
-                wheel.count += 1
-                wheel.inserts += 1
-                if self._wheel_deadline == _INF:
-                    self._wheel_deadline = wheel.base_tick * TICK_S
-                    self._wheel_nearline = (wheel.base_tick + _NEAR_TICKS) * TICK_S
-                return
         heapq.heappush(self._heap, (time, serial, fn, args, None))
 
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping (the per-cancel bookkeeping itself lives
-    # inlined in Event.cancel: a wheel-resident cancel is O(1) — the zombie
-    # stays in its bucket and is purged at flush/cascade, and ``_cancelled``
-    # stays a heap-only counter so tier migration can never double-count)
-    # ------------------------------------------------------------------
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (ordering is unaffected).
 
@@ -297,52 +170,12 @@ class Simulator:
         self._cancelled = 0
 
     # ------------------------------------------------------------------
-    # wheel <-> heap plumbing
-    # ------------------------------------------------------------------
-    def _advance_wheel(self, through_time: float) -> None:
-        """Flush wheel buckets covering times ``<= through_time`` into the
-        heap and refresh the cached deadline/nearline."""
-        wheel = self._wheel
-        wheel.advance(tick_of(through_time), self._heap, heapq.heappush)
-        if wheel.count:
-            self._wheel_deadline = wheel.base_tick * TICK_S
-            self._wheel_nearline = (wheel.base_tick + _NEAR_TICKS) * TICK_S
-        else:
-            self._wheel_deadline = _INF
-
-    def _refill_from_wheel(self, time_bound: float) -> None:
-        """With an empty heap, advance the wheel (a level-0 revolution at a
-        time) until something flushes, the wheel drains, or its origin
-        passes ``time_bound``."""
-        wheel = self._wheel
-        heap = self._heap
-        heappush = heapq.heappush
-        while wheel.count and not heap:
-            if wheel.base_tick * TICK_S > time_bound:
-                break
-            wheel.advance(wheel.base_tick + SLOTS - 1, heap, heappush)
-        if wheel.count:
-            self._wheel_deadline = wheel.base_tick * TICK_S
-            self._wheel_nearline = (wheel.base_tick + _NEAR_TICKS) * TICK_S
-        else:
-            self._wheel_deadline = _INF
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event.  Returns False when nothing is pending."""
         heap = self._heap
-        while True:
-            if not heap:
-                wheel = self._wheel
-                if wheel is not None and wheel.count:
-                    self._refill_from_wheel(_INF)
-                    continue
-                return False
-            if self._wheel_deadline <= heap[0][0]:
-                self._advance_wheel(heap[0][0])
-                continue
+        while heap:
             time, _seq, fn, args, handle = heapq.heappop(heap)
             if handle is not None:
                 if handle.cancelled:
@@ -358,6 +191,7 @@ class Simulator:
             if self._after_event is not None:
                 self._after_event()
             return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until everything pending drains, ``until`` is reached,
@@ -380,32 +214,14 @@ class Simulator:
         time_bound = _INF if until is None else until
         event_bound = _INF if max_events is None else max_events
         try:
-            while True:
-                if not heap:
-                    wheel = self._wheel
-                    if (
-                        wheel is None
-                        or not wheel.count
-                        or self._wheel_deadline > time_bound
-                    ):
-                        break
-                    self._refill_from_wheel(time_bound)
-                    if not heap:
-                        break
-                    continue
+            while heap:
                 entry = heap[0]
-                time = entry[0]
-                if self._wheel_deadline <= time:
-                    # The wheel may hold earlier entries than the heap
-                    # front; flush everything due through ``time`` first so
-                    # the heap alone defines firing order.
-                    self._advance_wheel(time)
-                    continue
                 handle = entry[4]
                 if handle is not None and handle.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
                     continue
+                time = entry[0]
                 if time > time_bound:
                     break
                 if fired >= event_bound:
@@ -443,9 +259,6 @@ class Simulator:
         self._after_event_hooks.append(hook)
         self._rebuild_after_event()
 
-    # Historical name, from when only one observer could be installed.
-    set_after_event_hook = push_after_event_hook
-
     def remove_after_event_hook(self, hook: Callable[[], None]) -> None:
         """Unregister one observer; unknown hooks are ignored."""
         if hook in self._after_event_hooks:
@@ -476,18 +289,12 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1)), across
-        both the heap and the wheel."""
+        """Number of not-yet-cancelled events still queued (O(1))."""
         return self._pending
 
     @property
     def events_fired(self) -> int:
         return self._events_fired
-
-    @property
-    def wheel(self) -> Optional[HierarchicalTimerWheel]:
-        """The timer-wheel tier (None on a heap-only engine)."""
-        return self._wheel
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Simulator(now={self.now:.9f}, pending={self.pending})"

@@ -1,5 +1,4 @@
-"""Timer facilities: protocol-facing timer interfaces and the engine's
-hierarchical timer wheel.
+"""Protocol-facing timer interfaces.
 
 Protocol objects schedule timers through a small interface
 (``schedule(delay, fn) -> handle`` with ``handle.cancel()``).  Client
@@ -7,20 +6,13 @@ machines use :class:`SimTimers`, which fires callbacks directly on the event
 loop.  The receive host under test uses
 :class:`~repro.host.kernel.KernelTimers`, which runs callbacks as CPU tasks
 so timer work is serialized with (and delayed by) packet processing.
-
-The rest of this module is :class:`HierarchicalTimerWheel`, the engine-side
-structure that makes the arm/cancel pattern those interfaces generate (TCP
-RTO and delayed-ACK timers: armed per segment, cancelled by the next ACK)
-O(1) instead of heap churn.  See the class docstring for the design and the
-ordering contract; :class:`~repro.sim.engine.Simulator` owns one instance
-and is the only caller.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Event, Simulator
 
 
@@ -32,223 +24,3 @@ class SimTimers:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> "Event":
         return self.sim.schedule(delay, fn, *args)
-
-
-# ----------------------------------------------------------------------
-# hierarchical timer wheel
-# ----------------------------------------------------------------------
-
-#: Level-0 tick width in seconds.  A power of two so ``tick * TICK_S`` is
-#: exact in binary floating point (the ordering proofs below rely on exact
-#: ``<=`` comparisons between bucket boundaries and event times).
-TICK_S = 2.0 ** -14  # ~61 us
-_INV_TICK = 2.0 ** 14
-#: Slots per level (level L spans ``SLOTS**(L+1)`` level-0 ticks).
-SLOTS = 256
-_MASK = SLOTS - 1
-#: Number of levels.  Horizon = 256**3 ticks ~= 17 simulated minutes; events
-#: beyond it stay in the overflow heap forever (they fire correctly from
-#: there — the wheel is an optimization, not a correctness requirement).
-LEVELS = 3
-_HORIZON_TICKS = SLOTS ** LEVELS
-
-
-def tick_of(time: float) -> int:
-    """Level-0 tick containing ``time``, guaranteed to satisfy
-    ``tick * TICK_S <= time`` even when ``time * _INV_TICK`` rounds up
-    across an integer boundary."""
-    k = int(time * _INV_TICK)
-    if k and k * TICK_S > time:
-        k -= 1
-    return k
-
-
-class HierarchicalTimerWheel:
-    """Three-level timer wheel staging far-future events for the tuple heap.
-
-    The simulator's execution structure stays the ``(time, serial)`` tuple
-    heap — that is what defines event order and what makes the hot loop one
-    C ``heappop`` per event.  The wheel sits *in front of* it: entries whose
-    due tick is beyond the current one park in a bucket, and a bucket is
-    flushed into the heap strictly before simulated time enters its tick.
-    Because every entry that actually fires reaches the heap with its
-    original ``(time, serial)`` key before any event at an equal-or-later
-    time pops, global firing order is bit-identical to the heap-only engine
-    (the randomized differential test in ``tests/test_timer_wheel.py``
-    checks exactly this).
-
-    What the wheel buys is *cancellation*: a cancelled entry is dropped when
-    its bucket is flushed or cascaded — it never touches the heap, never
-    counts toward heap compaction, and costs O(1) to cancel.  TCP arms and
-    cancels an RTO timer per ACK and a delayed-ACK timer per second segment;
-    at 10k connections that is tens of thousands of heap entries per
-    simulated RTT that now never exist.
-
-    Geometry: level 0 has 256 slots of one tick (~61 us) each; level 1
-    slots span 256 ticks (~15.6 ms); level 2 slots span 65536 ticks
-    (~4 s).  On advance, level-``n`` buckets cascade into level ``n-1``
-    when their boundary is crossed (live entries re-placed, cancelled ones
-    purged).  Entries beyond the level-2 horizon are rejected by
-    :meth:`try_insert` and live in the overflow heap — the far-future tier.
-
-    Accounting contract (audited by the runtime sanitizer): :attr:`count`
-    is the number of *live* (not cancelled) entries resident in wheel
-    buckets.  ``Simulator._pending + Simulator._cancelled ==
-    len(Simulator._heap) + wheel.count`` at all times; a cancelled wheel
-    entry decrements ``count`` exactly once (at cancel time) and is
-    thereafter a zombie purged silently at flush/cascade — migrations
-    between levels must never touch the counters.
-    """
-
-    __slots__ = (
-        "base_tick",
-        "count",
-        "_levels",
-        "inserts",
-        "cancelled_in_wheel",
-        "purged",
-        "cascaded",
-        "flushed",
-    )
-
-    def __init__(self) -> None:
-        #: Level-0 tick the wheel's origin sits at.  Invariant: every
-        #: resident entry's tick is ``>= base_tick``.
-        self.base_tick = 0
-        #: Live (non-cancelled) resident entries.
-        self.count = 0
-        self._levels: List[List[list]] = [
-            [[] for _ in range(SLOTS)] for _ in range(LEVELS)
-        ]
-        # Lifetime statistics (tests and the slab/speed report read these).
-        self.inserts = 0
-        self.cancelled_in_wheel = 0
-        self.purged = 0
-        self.cascaded = 0
-        self.flushed = 0
-
-    # ------------------------------------------------------------------
-    def deadline(self) -> float:
-        """Lower bound on the earliest resident entry's time (+inf if empty)."""
-        if self.count == 0:
-            return float("inf")
-        return self.base_tick * TICK_S
-
-    def try_insert(self, entry: tuple, now: float) -> bool:
-        """Park ``entry`` (a heap tuple) if it lies beyond the current tick.
-
-        Returns False — caller must heappush instead — for entries due in
-        the current tick or earlier (the wheel cannot order within a tick)
-        and for entries beyond the level-2 horizon (overflow tier).
-        """
-        if self.count == 0:
-            # The origin may be stale after an idle stretch (advance only
-            # runs while entries are resident).  Catch it up so near-future
-            # deltas land in level 0 rather than a far level.
-            nb = tick_of(now)
-            if nb > self.base_tick:
-                self.base_tick = nb
-        k = tick_of(entry[0])
-        base = self.base_tick
-        delta = k - base
-        if delta < 1 or delta >= _HORIZON_TICKS:
-            return False
-        if delta < SLOTS:
-            self._levels[0][k & _MASK].append(entry)
-        elif delta < SLOTS * SLOTS:
-            self._levels[1][(k >> 8) & _MASK].append(entry)
-        else:
-            self._levels[2][(k >> 16) & _MASK].append(entry)
-        self.count += 1
-        self.inserts += 1
-        handle = entry[4]
-        if handle is not None:
-            handle.in_wheel = True
-        return True
-
-    def note_cancel(self) -> None:
-        """One live resident entry was cancelled (it becomes a zombie)."""
-        self.count -= 1
-        self.cancelled_in_wheel += 1
-
-    # ------------------------------------------------------------------
-    def advance(self, through_tick: int, heap: list, heappush) -> None:
-        """Flush every bucket covering ticks ``<= through_tick`` into ``heap``.
-
-        Must be called before the simulator fires any event at a time
-        ``>= through_tick * TICK_S`` (the engine's run loop guarantees it by
-        checking :meth:`deadline` against the heap front).  Cascades higher
-        levels at their boundaries; leaves ``base_tick`` at the first
-        unflushed tick.
-        """
-        if self.count == 0:
-            return
-        b = self.base_tick
-        level0 = self._levels[0]
-        while b <= through_tick:
-            if b & _MASK == 0:
-                # Higher levels cascade coarsest-first so an entry due at
-                # this very tick can fall level 2 -> 1 -> 0 -> heap in one
-                # iteration.
-                if b & (SLOTS * SLOTS - 1) == 0:
-                    self._cascade(self._levels[2][(b >> 16) & _MASK], b)
-                self._cascade(self._levels[1][(b >> 8) & _MASK], b)
-            bucket = level0[b & _MASK]
-            if bucket:
-                for entry in bucket:
-                    handle = entry[4]
-                    if handle is not None:
-                        if handle.cancelled:
-                            self.purged += 1
-                            continue
-                        handle.in_wheel = False
-                    heappush(heap, entry)
-                    self.count -= 1
-                    self.flushed += 1
-                bucket.clear()
-            b += 1
-            if self.count == 0:
-                break
-        self.base_tick = b
-
-    def _cascade(self, bucket: list, base: int) -> None:
-        """Re-place a higher-level bucket's live entries relative to ``base``."""
-        if not bucket:
-            return
-        levels = self._levels
-        for entry in bucket:
-            handle = entry[4]
-            if handle is not None and handle.cancelled:
-                self.purged += 1
-                continue
-            k = tick_of(entry[0])
-            delta = k - base
-            if delta < SLOTS:
-                levels[0][k & _MASK].append(entry)
-            elif delta < SLOTS * SLOTS:
-                levels[1][(k >> 8) & _MASK].append(entry)
-            else:
-                levels[2][(k >> 16) & _MASK].append(entry)
-            self.cascaded += 1
-        bucket.clear()
-
-    # ------------------------------------------------------------------
-    # introspection (sanitizer / tests)
-    # ------------------------------------------------------------------
-    def resident_live(self) -> int:
-        """Walk every bucket and count live entries (O(slots + entries));
-        must equal :attr:`count` — the sanitizer's wheel-accounting audit."""
-        live = 0
-        for level in self._levels:
-            for bucket in level:
-                for entry in bucket:
-                    handle = entry[4]
-                    if handle is None or not handle.cancelled:
-                        live += 1
-        return live
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"HierarchicalTimerWheel(base_tick={self.base_tick}, "
-            f"count={self.count}, inserts={self.inserts})"
-        )

@@ -21,12 +21,12 @@ event-for-event.
 
 Scale-rig engine features: links opt into batched delivery
 (``batch_window_s``), the machines' packet slab recycles the per-segment
-allocations, and the timer wheel absorbs the per-connection RTO/delack
-churn.  The slab and the wheel are bit-neutral (same events, same times);
-batching holds each frame at most one window past its wire arrival — NIC
-interrupt moderation at the link layer — so measured results differ
-microscopically from an unbatched rig but stay deterministic for a given
-window.
+allocations, and the engine's heap compaction sheds the cancelled
+per-connection RTO/delack timers.  The slab is bit-neutral (same events,
+same times); batching holds each frame at most one window past its wire
+arrival — NIC interrupt moderation at the link layer — so measured results
+differ microscopically from an unbatched rig but stay deterministic for a
+given window.
 """
 
 from __future__ import annotations
