@@ -552,6 +552,12 @@ class SimSanitizer:
 
         A cancel that double-counted, or a compaction that lost or kept
         the wrong entries, breaks this.
+
+        An entry whose seq differs from its handle's was restarted in place
+        (:meth:`~repro.sim.engine.Simulator.restart`) and is re-keyed to
+        the handle's ``(time, seq)`` when it surfaces.  That key must not
+        be earlier than the entry's own, or the entry would surface after
+        the moment the event is due and fire late.
         """
         sim = self.sim
         if sim._pending < 0:
@@ -561,6 +567,13 @@ class SimSanitizer:
                 f"event heap accounting broken: pending={sim._pending} "
                 f"+ cancelled={sim._cancelled} != heap size {len(sim._heap)}"
             )
+        for time, seq, _fn, _args, handle in sim._heap:
+            if handle is not None and handle.seq != seq and (handle.time, handle.seq) < (time, seq):
+                raise InvariantViolation(
+                    f"restarted event would fire late: its deadline "
+                    f"(t={handle.time!r}, seq={handle.seq}) is earlier than "
+                    f"its heap entry's (t={time!r}, seq={seq})"
+                )
 
     def _audit_ring(self, nic) -> None:
         posted_segments = dropped_segments = open_lro = 0

@@ -45,6 +45,17 @@ class KernelTimers:
     def schedule(self, delay: float, fn: Callable[[], None]) -> "_KernelTimerHandle":
         return _KernelTimerHandle(self, delay, fn)
 
+    def restart(self, handle: "_KernelTimerHandle", delay: float) -> "_KernelTimerHandle":
+        """Re-arm ``handle`` as ``handle.cancel()`` + ``schedule(delay, fn)``
+        would.  A handle whose event already fired (its CPU task may still
+        be queued) or that was cancelled is cancelled and replaced; a
+        pending one keeps its identity and moves its event."""
+        if handle.cancelled or handle.event._fired:
+            handle.cancel()
+            return self.schedule(delay, handle.fn)
+        handle.move(delay)
+        return handle
+
 
 class _KernelTimerHandle:
     __slots__ = ("timers", "fn", "cancelled", "event")
@@ -66,6 +77,10 @@ class _KernelTimerHandle:
     def cancel(self) -> None:
         self.cancelled = True
         self.event.cancel()
+
+    def move(self, delay: float) -> None:
+        """Re-arm the pending event to fire ``delay`` from now."""
+        self.event = self.timers.sim.restart(self.event, delay)
 
 
 class KernelSocket:

@@ -57,6 +57,16 @@ class MqKernelTimers:
     def schedule(self, delay: float, fn: Callable[[], None]) -> "_MqTimerHandle":
         return _MqTimerHandle(self, delay, fn, self.kernel._current_idx)
 
+    def restart(self, handle: "_MqTimerHandle", delay: float) -> "_MqTimerHandle":
+        """Re-arm ``handle`` as ``handle.cancel()`` + ``schedule(delay, fn)``
+        would, including firing on the CPU that re-arms it (see
+        :meth:`repro.host.kernel.KernelTimers.restart`)."""
+        if handle.cancelled or handle.event._fired:
+            handle.cancel()
+            return self.schedule(delay, handle.fn)
+        handle.move(delay, self.kernel._current_idx)
+        return handle
+
 
 class _MqTimerHandle:
     __slots__ = ("timers", "fn", "cancelled", "event", "cpu_index")
@@ -85,6 +95,11 @@ class _MqTimerHandle:
     def cancel(self) -> None:
         self.cancelled = True
         self.event.cancel()
+
+    def move(self, delay: float, cpu_index: int) -> None:
+        """Re-arm the pending event ``delay`` from now, to fire on ``cpu_index``."""
+        self.event = self.timers.sim.restart(self.event, delay)
+        self.cpu_index = cpu_index
 
 
 class SoftirqPort:

@@ -16,6 +16,16 @@ when it surfaces, and the heap is compacted in place whenever cancelled
 entries outnumber live ones, so the arm/cancel churn of TCP RTO and
 delayed-ACK timers cannot grow it without bound.
 
+Re-arming is lazy too.  :meth:`Simulator.restart` moves a pending event to
+a later deadline without touching the heap: it takes the sequence number a
+fresh schedule would have taken and records the new ``(time, seq)`` on the
+:class:`Event`.  The old entry stays where it is; when it surfaces, the run
+loop sees that its seq no longer matches the handle's and pushes it back
+under the handle's key instead of firing it.  The stale key is never later
+than the new one, so the entry always surfaces before the moment it must
+fire, and every event fires under exactly the key that eager cancel +
+schedule would have given it.
+
 Time is a float in *seconds*.  All subsystems (links, NICs, CPUs, TCP timers)
 schedule callbacks through one shared simulator instance.
 """
@@ -40,19 +50,25 @@ class Event:
     """A cancellation token for a scheduled callback.
 
     Events are created through :meth:`Simulator.schedule` (or
-    :meth:`Simulator.at`) and may be cancelled with :meth:`cancel`.
-    Cancellation is lazy — the heap entry stays in place and is skipped
-    when it surfaces (subject to periodic compaction).
+    :meth:`Simulator.at`), may be cancelled with :meth:`cancel` and moved
+    with :meth:`Simulator.restart`.  Cancellation is lazy — the heap entry
+    stays in place and is skipped when it surfaces (subject to periodic
+    compaction).  ``time``/``seq`` are the key the event fires under; after
+    an in-place restart they are later than its heap entry's key.
+    ``fn``/``args`` are kept for a restart that has to schedule afresh.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_fired", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "_fired", "_sim", "fn", "args")
 
-    def __init__(self, time: float, seq: int, sim: "Simulator"):
+    def __init__(self, time: float, seq: int, sim: "Simulator",
+                 fn: Callable[..., Any], args: tuple):
         self.time = time
         self.seq = seq
         self.cancelled = False
         self._fired = False
         self._sim = sim
+        self.fn = fn
+        self.args = args
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent.
@@ -129,9 +145,33 @@ class Simulator:
             )
         serial = self._seq
         self._seq = serial + 1
-        ev = Event(time, serial, self)
+        ev = Event(time, serial, self, fn, args)
         self._pending += 1
         heapq.heappush(self._heap, (time, serial, fn, args, ev))
+        return ev
+
+    def restart(self, ev: Event, delay: float) -> Event:
+        """Re-arm ``ev`` to fire ``delay`` seconds from now; return the
+        handle to keep.
+
+        Equivalent to ``ev.cancel()`` followed by
+        ``schedule(delay, ev.fn, *ev.args)`` — it consumes one sequence
+        number, so firing order is the same — but a pending event moving
+        to a deadline no earlier than its current one is updated in place
+        (no allocation, no heap push; see the module docstring) and ``ev``
+        itself is returned.  A fired or cancelled event, or an earlier
+        deadline, takes the cancel + schedule path and returns a new event.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        time = self.now + delay
+        if ev.cancelled or ev._fired or time < ev.time:
+            ev.cancel()
+            return self.at(time, ev.fn, *ev.args)
+        serial = self._seq
+        self._seq = serial + 1
+        ev.time = time
+        ev.seq = serial
         return ev
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -176,10 +216,14 @@ class Simulator:
         """Fire the next pending event.  Returns False when nothing is pending."""
         heap = self._heap
         while heap:
-            time, _seq, fn, args, handle = heapq.heappop(heap)
+            time, seq, fn, args, handle = heapq.heappop(heap)
             if handle is not None:
                 if handle.cancelled:
                     self._cancelled -= 1
+                    continue
+                if handle.seq != seq:
+                    # Restarted in place: re-key, do not fire.
+                    heapq.heappush(heap, (handle.time, handle.seq, fn, args, handle))
                     continue
                 handle._fired = True
             if time < self.now:  # pragma: no cover - defensive
@@ -198,8 +242,8 @@ class Simulator:
         or ``max_events`` have fired.
 
         ``max_events`` and :attr:`events_fired` count only real firings —
-        cancelled entries skipped on the way count in neither, exactly as in
-        :meth:`step`.
+        cancelled entries skipped and restarted entries re-keyed on the way
+        count in neither, exactly as in :meth:`step`.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fires earlier, so rate computations over the
@@ -208,6 +252,7 @@ class Simulator:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         fired = 0
         # Hoist the None checks out of the loop: comparisons against +inf
         # behave identically to "no bound".
@@ -217,10 +262,15 @@ class Simulator:
             while heap:
                 entry = heap[0]
                 handle = entry[4]
-                if handle is not None and handle.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    continue
+                if handle is not None:
+                    if handle.cancelled:
+                        heappop(heap)
+                        self._cancelled -= 1
+                        continue
+                    if handle.seq != entry[1]:
+                        # Restarted in place: re-key, do not fire.
+                        heapreplace(heap, (handle.time, handle.seq, entry[2], entry[3], handle))
+                        continue
                 time = entry[0]
                 if time > time_bound:
                     break

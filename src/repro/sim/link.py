@@ -18,6 +18,12 @@ Optional impairments support the correctness and resilience experiments:
 * administrative link state (``up``): a downed link black-holes frames,
   modelling a cable pull / switch-port flap.
 
+A link with all four probabilities at zero and no batch window is *plain*:
+:meth:`Link.send` schedules its deliveries directly.  The probabilities are
+properties that keep this flag current, because the fault injector raises
+and restores them at runtime; ``up`` and ``loss_model`` are checked on every
+frame either way.
+
 Every frame is accounted for: ``frames_sent + frames_duplicated ==
 frames_delivered + frames_dropped + in_flight`` at all times, which the
 runtime sanitizer audits (packet conservation under combined impairments).
@@ -90,6 +96,21 @@ class GilbertElliott:
         return False
 
 
+def _plain_flag_input(name: str) -> property:
+    """A public link setting stored as ``_<name>`` whose every assignment
+    recomputes the link's ``_plain`` flag."""
+    attr = "_" + name
+
+    def get(self: "Link") -> float:
+        return getattr(self, attr)
+
+    def set(self: "Link", value: float) -> None:
+        setattr(self, attr, value)
+        self._update_plain()
+
+    return property(get, set)
+
+
 @dataclass
 class LinkStats:
     """Counters accumulated by a link over its lifetime."""
@@ -136,6 +157,12 @@ class Link:
     ``drop_prob``) and flip :attr:`up` for link-flap windows.
     """
 
+    drop_prob = _plain_flag_input("drop_prob")
+    reorder_prob = _plain_flag_input("reorder_prob")
+    dup_prob = _plain_flag_input("dup_prob")
+    corrupt_prob = _plain_flag_input("corrupt_prob")
+    batch_window_s = _plain_flag_input("batch_window_s")
+
     def __init__(
         self,
         sim: Simulator,
@@ -157,11 +184,11 @@ class Link:
         self.rate_bps = rate_bps
         self.delay_s = delay_s
         self.sink = sink
-        self.drop_prob = drop_prob
-        self.reorder_prob = reorder_prob
+        self._drop_prob = drop_prob
+        self._reorder_prob = reorder_prob
         self.reorder_delay_s = reorder_delay_s
-        self.dup_prob = dup_prob
-        self.corrupt_prob = corrupt_prob
+        self._dup_prob = dup_prob
+        self._corrupt_prob = corrupt_prob
         self.rng = rng
         self.name = name
         self.stats = LinkStats()
@@ -181,10 +208,20 @@ class Link:
         #: interrupt moderation, which the receive path models anyway).
         #: 0 disables batching: per-frame events, timing bit-identical to
         #: the pre-batching link.  Many-connection rigs opt in.
-        self.batch_window_s = batch_window_s
+        self._batch_window_s = batch_window_s
         self._open_batch: Optional[list] = None
         self._open_until = 0.0
         self.stats_batches = 0
+        self._update_plain()
+
+    def _update_plain(self) -> None:
+        self._plain = not (
+            self._drop_prob > 0
+            or self._reorder_prob > 0
+            or self._dup_prob > 0
+            or self._corrupt_prob > 0
+            or self._batch_window_s > 0
+        )
 
     # ------------------------------------------------------------------
     def wire_bytes(self, frame: Any) -> int:
@@ -237,11 +274,15 @@ class Link:
             stats.frames_dropped += 1
             stats.frames_dropped_burst += 1
             return done
-        if self.drop_prob > 0 and self.rng.random() < self.drop_prob:
+        if self._plain:
+            self.in_flight += 1
+            self.sim.call_at(done + self.delay_s, self._deliver, frame)
+            return done
+        if self._drop_prob > 0 and self.rng.random() < self._drop_prob:
             stats.frames_dropped += 1
             return done
 
-        if self.corrupt_prob > 0 and self.rng.random() < self.corrupt_prob:
+        if self._corrupt_prob > 0 and self.rng.random() < self._corrupt_prob:
             stats.frames_corrupted += 1
             try:
                 frame.corrupted = True
@@ -249,12 +290,12 @@ class Link:
                 pass  # opaque test frames: corruption is stats-only
 
         arrival = done + self.delay_s
-        if self.reorder_prob > 0 and self.rng.random() < self.reorder_prob:
+        if self._reorder_prob > 0 and self.rng.random() < self._reorder_prob:
             arrival += self.reorder_delay_s
             self.stats.frames_reordered += 1
 
         self._enqueue(arrival, frame)
-        if self.dup_prob > 0 and self.rng.random() < self.dup_prob:
+        if self._dup_prob > 0 and self.rng.random() < self._dup_prob:
             # Deliver an independent copy with its *own* delivery metadata:
             # the duplicate takes the un-reordered arrival time, so a
             # reorder-delayed original can never alias the duplicate's
@@ -268,7 +309,7 @@ class Link:
     def _enqueue(self, arrival: float, frame: Any) -> None:
         """Schedule delivery: per-frame event, or append to the open batch."""
         self.in_flight += 1
-        window = self.batch_window_s
+        window = self._batch_window_s
         if window <= 0.0:
             self.sim.call_at(arrival, self._deliver, frame)
             return

@@ -1,7 +1,10 @@
 """Protocol-facing timer interfaces.
 
 Protocol objects schedule timers through a small interface
-(``schedule(delay, fn) -> handle`` with ``handle.cancel()``).  Client
+(``schedule(delay, fn) -> handle`` with ``handle.cancel()``, and
+``restart(handle, delay) -> handle``, which re-arms a timer exactly as
+``handle.cancel()`` + ``schedule(delay, fn)`` would but may reuse the
+handle).  Client
 machines use :class:`SimTimers`, which fires callbacks directly on the event
 loop.  The receive host under test uses
 :class:`~repro.host.kernel.KernelTimers`, which runs callbacks as CPU tasks
@@ -24,3 +27,6 @@ class SimTimers:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> "Event":
         return self.sim.schedule(delay, fn, *args)
+
+    def restart(self, handle: "Event", delay: float) -> "Event":
+        return self.sim.restart(handle, delay)

@@ -22,6 +22,7 @@ The connection talks to its environment through a small transport interface::
     transport.send_packet(conn, packet)      # data / control segments
     transport.send_acks(conn, ack_event)     # a batch of consecutive pure ACKs
     timers.schedule(delay, fn) -> handle     # handle.cancel()
+    timers.restart(handle, delay) -> handle  # = cancel + schedule, in place
     clock() -> float                         # simulation seconds
 
 ``send_acks`` receives *all* consecutive ACKs generated by one inbound packet
@@ -462,7 +463,10 @@ class TcpConnection:
             else:
                 self._cancel_rto()
             self._maybe_send()
-            self._try_send_fin_or_data()
+            # _maybe_send ends with _try_send_fin_or_data unless it returned
+            # early; only then can a FIN still be due here.
+            if self._fin_pending and not self._fin_sent:
+                self._try_send_fin_or_data()
         elif ack == snd_una:
             # RFC 5681 wants an unchanged window; with SACK, an ACK at
             # snd_una carrying SACK blocks is a loss signal even when the
@@ -533,7 +537,17 @@ class TcpConnection:
                 break
 
     def _maybe_send(self) -> None:
-        """Transmit as much new data as cwnd/rwnd/source allow."""
+        """Transmit as much new data as cwnd/rwnd/source allow.
+
+        The segments of one call form a *send train*.  Nothing a segment's
+        transmission does can change the clock, the timestamp pair, the
+        advertised window or ``rcv_nxt``, so those are computed once, when
+        the train's first segment goes out (not before: computing the
+        window records it as advertised).  Each packet still gets its own
+        options and headers — aggregation mutates a head packet's options
+        in place — and only the immutable timestamp tuple is shared.
+        Payload-carrying segments are built by :meth:`_build_packet`.
+        """
         source = self.source
         if source is None:
             return  # pure receivers (the common case on the server) exit here
@@ -542,12 +556,15 @@ class TcpConnection:
             return  # state.can_send_data, inlined
         reno = self.reno
         mss = reno.mss
-        gso = self.config.gso_segments
+        config = self.config
+        gso = config.gso_segments
         send_cap = mss * (gso if gso > 1 else 1)
-        materialize = self.config.materialize_payload
+        materialize = config.materialize_payload or getattr(source, "materialize", False)
         source_available = source.available
         base_seq = self._send_base_seq
         min_room = 1 if mss > 1 else mss
+        stats = self.stats
+        train_started = False
         while True:
             # flight_size / effective_window, inlined.
             flight = (self.snd_nxt - self.snd_una) & _SEQ_MASK
@@ -576,11 +593,31 @@ class TcpConnection:
                 # §4.2.3.4): don't emit a sub-MSS segment while more data is
                 # queued and in-flight data will open the window.
                 break
+            if not train_started:
+                train_started = True
+                now = self.clock()
+                ts = self._ts_pair()
+                window = self._advertised_window_field()
+                ack = self.rcv_nxt
+                make = self._template.make
+                rtx_append = self.rtx_queue.append
+                send_packet = self.transport.send_packet
+                timestamp_only = TcpOptions.timestamp_only
+            seq = self.snd_nxt
             payload = source.read(offset, length) if materialize else None
-            if payload is None and hasattr(source, "materialize") and source.materialize:
-                payload = source.read(offset, length)
-            self._send_data_segment(self.snd_nxt, length, payload)
-            self.snd_nxt = (self.snd_nxt + length) & _SEQ_MASK
+            if payload is None:
+                pkt = make(seq, ack, _ACK_PSH, window, length, timestamp_only(ts))
+                pkt.created_time = now
+            else:
+                pkt = self._build_packet(seq, _ACK_PSH, payload_len=length, payload=payload)
+            rtx_append(_RtxRecord(seq, length, False, False, now))
+            if self._delack_timer is not None:
+                self._cancel_delack_for_piggyback()
+            if self._rto_timer is None:
+                self._arm_rto()
+            stats.segs_out += 1
+            send_packet(self, pkt)
+            self.snd_nxt = (seq + length) & _SEQ_MASK
         self._try_send_fin_or_data()
 
     def _try_send_fin_or_data(self) -> None:
@@ -688,27 +725,6 @@ class TcpConnection:
                 )
             )
             self.snd_nxt = seq_add(self.snd_nxt, 1)
-        self.stats.segs_out += 1
-        self.transport.send_packet(self, pkt)
-
-    def _send_data_segment(self, seq: int, length: int, payload: Optional[bytes]) -> None:
-        if payload is None:
-            # ACK-clocked fast path: stamp straight from the template
-            # (equivalent to _build_packet with ACK|PSH and no payload).
-            pkt = self._template.make(
-                seq,
-                self.rcv_nxt,
-                _ACK_PSH,
-                self._advertised_window_field(),
-                payload_len=length,
-                options=TcpOptions.timestamp_only(self._ts_pair()),
-            )
-            pkt.created_time = self.clock()
-        else:
-            pkt = self._build_packet(seq, _ACK_PSH, payload_len=length, payload=payload)
-        self.rtx_queue.append(_RtxRecord(seq, length, fin=False, syn=False, time_sent=self.clock()))
-        self._cancel_delack_for_piggyback()
-        self._arm_rto()
         self.stats.segs_out += 1
         self.transport.send_packet(self, pkt)
 
@@ -917,13 +933,15 @@ class TcpConnection:
             self._send_pure_acks([self.rcv_nxt])
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_timer is not None:
-            if not restart:
-                return
-            self._rto_timer.cancel()
+        timer = self._rto_timer
+        if timer is not None and not restart:
+            return
         backoff = self._rto_backoff
         timeout = self.rtt.rto if backoff == 0 else self.rtt.rto * (2 ** backoff)
-        self._rto_timer = self.timers.schedule(timeout, self._rto_fire)
+        if timer is None:
+            self._rto_timer = self.timers.schedule(timeout, self._rto_fire)
+        else:
+            self._rto_timer = self.timers.restart(timer, timeout)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:

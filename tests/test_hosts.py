@@ -7,6 +7,7 @@ from repro.cpu.cpu import Cpu
 from repro.host.client import ClientHost
 from repro.host.kernel import KernelTimers
 from repro.host.machine import ReceiverMachine
+from repro.mq.machine import MqReceiverMachine
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -146,6 +147,63 @@ def test_kernel_timer_cancel_between_fire_and_run(sim):
     sim.schedule(2e-6, handle.cancel)  # after fire, before task start
     sim.run(until=0.01)
     assert not fired
+
+
+def test_kernel_timer_restart_pending_moves_in_place(sim):
+    cpu = Cpu(sim, freq_hz=1e9)
+    timers = KernelTimers(sim, cpu)
+    fired = []
+    handle = timers.schedule(1e-3, lambda: fired.append(sim.now))
+    assert timers.restart(handle, 2e-3) is handle
+    sim.run(until=0.01)
+    assert fired == [pytest.approx(2e-3)]
+
+
+def test_kernel_timer_restart_after_fire_while_task_queued(sim):
+    """The event fired but its CPU task still waits behind packet work:
+    restart must cancel that task and arm a new timer, not resurrect the
+    old handle (which would run the callback twice)."""
+    cpu = Cpu(sim, freq_hz=1e9)
+    timers = KernelTimers(sim, cpu)
+    fired = []
+    cpu.submit(lambda: cpu.consume(10000, "misc"))  # cpu busy 10 us
+    handle = timers.schedule(1e-6, lambda: fired.append(sim.now))
+    restarted = []
+    sim.schedule(2e-6, lambda: restarted.append(timers.restart(handle, 1e-3)))
+    sim.run(until=0.01)
+    new = restarted[0]
+    assert new is not handle and handle.cancelled and not new.cancelled
+    assert fired == [pytest.approx(2e-6 + 1e-3)]
+
+
+def test_kernel_timer_restart_cancelled_arms_new_handle(sim):
+    cpu = Cpu(sim)
+    timers = KernelTimers(sim, cpu)
+    fired = []
+    handle = timers.schedule(1e-3, lambda: fired.append(sim.now))
+    handle.cancel()
+    new = timers.restart(handle, 2e-3)
+    assert new is not handle
+    sim.run(until=0.01)
+    assert fired == [pytest.approx(2e-3)]
+
+
+def test_mq_kernel_timer_restart_fires_on_rearming_cpu(sim):
+    """Like cancel + schedule, an in-place restart moves the timer to the
+    CPU that re-arms it."""
+    machine = MqReceiverMachine(
+        sim, fast_config(n_nics=1), OptimizationConfig.baseline(), queues=2, ip=SERVER
+    )
+    kernel = machine.kernel
+    timers = kernel.timers
+    ran_on = []
+    prev = kernel.enter_cpu(0)
+    handle = timers.schedule(1e-3, lambda: ran_on.append(kernel._current_idx))
+    kernel.enter_cpu(1)
+    assert timers.restart(handle, 2e-3) is handle
+    kernel._current_idx = prev
+    sim.run(until=0.01)
+    assert ran_on == [1]
 
 
 def test_tcp_overrides_applied_to_accepted_connections(sim):

@@ -195,6 +195,23 @@ class TestStructuralAudits:
         with pytest.raises(InvariantViolation, match="event heap accounting broken"):
             fire(sim, 4)
 
+    def test_restarted_event_earlier_than_its_entry_detected(self):
+        sim, sanitizer, _ = make_sanitized()
+        ev = sim.schedule(1.0, lambda: None)
+        assert sim.restart(ev, 2.0) is ev  # in place: the heap entry keeps t=1.0
+        sim.post(0.5, lambda: None)  # keeps the stale entry from surfacing
+
+        def audit_pass():
+            for _ in range(4):  # deep audit every 4 events
+                sim.post(0.0, lambda: None)
+            sim.run(until=sim.now)
+
+        audit_pass()  # clean: the handle's key is later than its entry's
+        assert sanitizer.stats.deep_audits == 1
+        ev.time = 0.5  # corrupt: the entry would surface after its deadline
+        with pytest.raises(InvariantViolation, match="restarted event would fire late"):
+            audit_pass()
+
     def test_ring_conservation_corruption_detected(self):
         sim, sanitizer, machine = make_sanitized()
 

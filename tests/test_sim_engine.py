@@ -250,6 +250,95 @@ def test_idle_stretch_then_reschedule(sim):
     assert sim.now == pytest.approx(5.02)
 
 
+def test_restart_in_place_keeps_handle_and_eager_order(sim):
+    """A later deadline moves the event in place: same handle, one heap
+    entry, and it fires under the key a fresh schedule would have had —
+    after an event scheduled for the same instant before the restart."""
+    fired = []
+    ev = sim.schedule(1e-3, fired.append, "timer")
+    sim.schedule(3e-3, fired.append, "same-instant, scheduled first")
+    assert sim.restart(ev, 3e-3) is ev
+    sim.schedule(3e-3, fired.append, "same-instant, scheduled after")
+    assert len(sim._heap) == 3 and sim.pending == 3
+    sim.run(until=2e-3)  # the stale entry surfaces and is re-keyed, not fired
+    assert fired == [] and sim.events_fired == 0
+    sim.run()
+    assert fired == ["same-instant, scheduled first", "timer", "same-instant, scheduled after"]
+    assert sim.events_fired == 3
+    assert sim.pending == 0 and sim._cancelled == 0 and not sim._heap
+
+
+def test_restart_same_deadline_moves_behind_later_schedules(sim):
+    fired = []
+    ev = sim.schedule(1e-3, fired.append, "timer")
+    sim.schedule(1e-3, fired.append, "other")
+    assert sim.restart(ev, 1e-3) is ev
+    sim.run()
+    assert fired == ["other", "timer"]
+
+
+def test_restart_via_step_rekeys_without_firing(sim):
+    fired = []
+    ev = sim.schedule(1e-3, fired.append, "timer")
+    sim.restart(ev, 2e-3)
+    sim.post(1.5e-3, fired.append, "between")
+    assert sim.step()
+    assert fired == ["between"] and sim.events_fired == 1
+    assert sim.step()
+    assert fired == ["between", "timer"] and sim.now == 2e-3
+    assert not sim.step()
+
+
+def test_restart_fired_event_schedules_afresh(sim):
+    fired = []
+    ev = sim.schedule(1e-3, fired.append, "x")
+    sim.run()
+    again = sim.restart(ev, 1e-3)
+    assert again is not ev and not again.cancelled
+    assert not ev.cancelled  # a fired event stays fired, not cancelled
+    sim.run()
+    assert fired == ["x", "x"] and sim.now == 2e-3
+    assert sim.events_fired == 2
+
+
+def test_restart_cancelled_event_schedules_afresh(sim):
+    fired = []
+    ev = sim.schedule(1e-3, fired.append, "x")
+    ev.cancel()
+    again = sim.restart(ev, 2e-3)
+    assert again is not ev and ev.cancelled
+    assert sim.pending == 1
+    sim.run()
+    assert fired == ["x"] and sim.now == 2e-3
+
+
+def test_restart_to_earlier_deadline_cancels_and_schedules(sim):
+    fired = []
+    ev = sim.schedule(5e-3, lambda a, b: fired.append((a, b)), "x", "y")
+    again = sim.restart(ev, 1e-3)
+    assert again is not ev and ev.cancelled
+    assert (again.fn, again.args) == (ev.fn, ev.args)
+    assert sim.pending == 1
+    sim.run()
+    assert fired == [("x", "y")] and sim.now == 1e-3
+    assert sim.events_fired == 1
+
+
+def test_restart_consumes_one_sequence_number(sim):
+    ev = sim.schedule(1e-3, lambda: None)
+    seq_before = sim._seq
+    sim.restart(ev, 2e-3)  # in place
+    assert sim._seq == seq_before + 1 and ev.seq == seq_before
+    again = sim.restart(ev, 1e-3)  # fallback
+    assert sim._seq == seq_before + 2 and again.seq == seq_before + 1
+
+
+def test_restart_rejects_negative_delay(sim):
+    ev = sim.schedule(1e-3, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.restart(ev, -1e-9)
+
+
 def test_step_across_long_idle_gap(sim):
     fired = []
     sim.post(1e-3, fired.append, 1)
@@ -283,6 +372,12 @@ class _OracleScheduler:
         self._entries.append(entry)
         return _OracleHandle(entry)
 
+    def restart(self, handle, delay):
+        """The definition the engine's in-place restart must match."""
+        handle.cancel()
+        _time, _seq, fn, args, _cancelled = handle._entry
+        return self.schedule(delay, fn, *args)
+
     def run(self):
         entries = self._entries
         while entries:
@@ -304,8 +399,12 @@ class _OracleHandle:
 
 
 def _trace(sched, seed):
-    """Drive ``sched`` through a seeded schedule/cancel/re-arm script and
-    return the full firing trace.
+    """Drive ``sched`` through a seeded schedule/cancel/re-arm/restart
+    script and return the full firing trace.
+
+    Restarts hit pending, fired and cancelled handles, to later and to
+    earlier deadlines, so both the engine's in-place path and its three
+    cancel + schedule fallbacks run.
 
     Delays span same-instant ties, sub-millisecond, sub-second and
     beyond-17-minute regimes; callbacks schedule, cancel and re-arm
@@ -315,6 +414,7 @@ def _trace(sched, seed):
     rng = random.Random(seed)
     fired = []
     live = []
+    dead = []  # cancelled handles
     next_id = [0]
 
     def delay():
@@ -331,21 +431,36 @@ def _trace(sched, seed):
         next_id[0] = i + 1
         live.append(sched.schedule(delay(), cb, i))
 
+    def restart(handles):
+        k = rng.randrange(len(handles))
+        handles[k] = sched.restart(handles[k], delay())
+        if handles is dead:
+            live.append(dead.pop(k))
+
     def cb(i):
         fired.append((sched.now, i))
-        if rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.2:
             arm()  # reschedule from inside a callback
+        elif r < 0.3 and live:
+            restart(live)  # may be this very (fired) event's handle
 
     def driver(round_no):
         for _ in range(8):
             r = rng.random()
-            if r < 0.5 or not live:
+            if r < 0.4 or not live:
                 arm()
+            elif r < 0.55:
+                restart(live)
+            elif r < 0.6 and dead:
+                restart(dead)
             else:
                 # Cancel a random handle (it may already have fired, and
                 # cancel is then a no-op); sometimes re-arm in its place.
-                live.pop(rng.randrange(len(live))).cancel()
-                if r > 0.8:
+                handle = live.pop(rng.randrange(len(live)))
+                handle.cancel()
+                dead.append(handle)
+                if r > 0.85:
                     arm()
         if round_no > 0:
             sched.schedule(rng.uniform(0.0, 2e-3), driver, round_no - 1)

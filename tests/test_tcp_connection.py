@@ -253,3 +253,61 @@ def test_rst_closes_immediately(sim):
     rst.tcp.flags = TcpFlags.RST
     conn_b.on_segment(rst)
     assert conn_b.state is TcpState.CLOSED
+
+
+# ---------------------------------------------------------------- send trains
+@pytest.mark.parametrize(
+    "config",
+    [
+        TcpConfig(),
+        TcpConfig(gso_segments=4),
+        TcpConfig(materialize_payload=True),
+    ],
+    ids=["length-only", "gso4", "materialized"],
+)
+def test_send_train_matches_build_packet(sim, config):
+    """Every data segment a send train emits equals what ``_build_packet``
+    makes at the same instant, and no two segments sent in one event share
+    an options block or a header object (aggregation mutates them)."""
+    conn_a, conn_b, *_rest, ta, _tb = make_pair(sim, config_a=config, config_b=TcpConfig())
+    mss = conn_a.reno.mss
+    records = []  # (events_fired, packet, reference)
+    forward = ta.send_packet
+
+    def record(conn, pkt):
+        if pkt.payload_len > 0:
+            reference = conn._build_packet(
+                pkt.tcp.seq, TcpFlags.ACK | TcpFlags.PSH,
+                payload_len=pkt.payload_len, payload=pkt.payload,
+            )
+            records.append((sim.events_fired, pkt, reference))
+        forward(conn, pkt)
+
+    ta.send_packet = record
+    conn_a.attach_source(InfiniteSource(
+        materialize=config.materialize_payload, seed=3, limit_bytes=200_000,
+    ))
+    conn_a.app_wrote()
+    sim.run(until=sim.now + 0.3)
+
+    assert len(records) > 20
+    assert (max(p.payload_len for _, p, _ in records) > mss) == (config.gso_segments > 1)
+    for _, pkt, ref in records:
+        assert pkt.tcp.seq == ref.tcp.seq
+        assert pkt.tcp.ack == ref.tcp.ack
+        assert pkt.tcp.flags == ref.tcp.flags
+        assert pkt.tcp.window == ref.tcp.window
+        assert pkt.tcp.options.timestamp == ref.tcp.options.timestamp
+        assert pkt.ip.total_length == ref.ip.total_length
+        assert pkt.wire_len == ref.wire_len
+        assert pkt.created_time == ref.created_time
+        assert (pkt.payload is None) == (not config.materialize_payload)
+
+    trains = {}
+    for event, pkt, _ in records:
+        trains.setdefault(event, []).append(pkt)
+    assert max(len(train) for train in trains.values()) > 1
+    for train in trains.values():
+        for attr in ("tcp", "ip"):
+            assert len({id(getattr(p, attr)) for p in train}) == len(train)
+        assert len({id(p.tcp.options) for p in train}) == len(train)
