@@ -14,7 +14,6 @@ Usage::
 
 from repro import OptimizationConfig
 from repro.host.configs import linux_smp_config
-from repro.mq.workload import run_mq_stream_experiment
 from repro.workloads.stream import run_stream_experiment
 
 CONNECTIONS = 200
@@ -35,7 +34,7 @@ def main() -> None:
 
     for queues in (2, 4):
         for steering in ("rss", "arfs"):
-            r = run_mq_stream_experiment(
+            r = run_stream_experiment(
                 config, OptimizationConfig.baseline(), queues=queues,
                 steering=steering, n_connections=CONNECTIONS,
                 duration=DURATION, warmup=WARMUP,

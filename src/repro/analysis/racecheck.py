@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.analysis.install import Installer, PatchHandle
 from repro.cpu.categories import Category
 from repro.sim.engine import Simulator
 
@@ -216,7 +217,7 @@ class RaceChecker:
         )
 
     def tag_socket(self, sock, owner: int) -> None:
-        """Socket pinned at accept time (called by MqKernel._accept_socket)."""
+        """Socket pinned at accept time (called by Kernel._accept_socket)."""
         self.tag(sock, owner, f"socket {getattr(sock.conn, 'name', sock)}")
 
     def handoff(self, obj: object, new_owner: int) -> None:
@@ -344,16 +345,12 @@ class RaceChecker:
 
 
 # ----------------------------------------------------------------------
-# process-wide installation (mirrors repro.analysis.sanitizer)
+# process-wide installation (see repro.analysis.install)
 # ----------------------------------------------------------------------
-@dataclass
-class _InstallHandle:
-    sim_init: Callable
-    machine_inits: List[Tuple[type, Callable]]
-    checkers: List[RaceChecker]
-
-
-_active_handle: Optional[_InstallHandle] = None
+class _InstallHandle(PatchHandle):
+    @property
+    def checkers(self) -> List[RaceChecker]:
+        return self.observers
 
 
 def _machine_classes():
@@ -364,53 +361,19 @@ def _machine_classes():
     return (MqReceiverMachine,)
 
 
+_installer: Installer[_InstallHandle] = Installer(_InstallHandle, _machine_classes)
+
+
 def install() -> _InstallHandle:
     """Race-check every Simulator and multi-queue machine created from now
     on.  Idempotent: a second call returns the active handle."""
-    global _active_handle
-    if _active_handle is not None:
-        return _active_handle
-
-    sim_init = Simulator.__init__
-    handle = _InstallHandle(sim_init=sim_init, machine_inits=[], checkers=[])
-
-    def racechecked_sim_init(self) -> None:
-        sim_init(self)
-        handle.checkers.append(RaceChecker(self))
-
-    Simulator.__init__ = racechecked_sim_init
-
-    for cls in _machine_classes():
-        machine_init = cls.__init__
-        handle.machine_inits.append((cls, machine_init))
-
-        def racechecked_machine_init(self, sim, *args, _orig=machine_init, **kwargs):
-            _orig(self, sim, *args, **kwargs)
-            for checker in handle.checkers:
-                if checker.sim is sim:
-                    checker.watch_machine(self)
-                    break
-
-        cls.__init__ = racechecked_machine_init
-
-    _active_handle = handle
-    return handle
+    return _installer.install(RaceChecker)
 
 
 def uninstall(handle: Optional[_InstallHandle] = None) -> None:
     """Undo :func:`install`.  Already-created simulators stay checked."""
-    global _active_handle
-    if handle is None:
-        handle = _active_handle
-    if handle is None:
-        return
-
-    Simulator.__init__ = handle.sim_init
-    for cls, machine_init in handle.machine_inits:
-        cls.__init__ = machine_init
-    if handle is _active_handle:
-        _active_handle = None
+    _installer.uninstall(handle)
 
 
 def is_installed() -> bool:
-    return _active_handle is not None
+    return _installer.is_installed()

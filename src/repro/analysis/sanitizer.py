@@ -47,9 +47,10 @@ the sanitizer is a debugging and CI tool, not a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
+from repro.analysis.install import Installer, PatchHandle
 from repro.core.ack_offload import expand_template
 from repro.net.checksum import checksums_equivalent
 from repro.sim.engine import Simulator
@@ -354,11 +355,7 @@ class SimSanitizer:
         ``busy_cycles``, per-(cpu, category) shadows bit-equal the
         profiler, and exact cell units sum to the recorded totals (see
         :meth:`repro.obs.ledger.CycleLedger.verify`)."""
-        cpus = getattr(machine, "cpus", None)
-        if cpus is None:
-            cpu = getattr(machine, "cpu", None)
-            cpus = [cpu] if cpu is not None else []
-        for cpu in cpus:
+        for cpu in machine.cpus:
             led = getattr(cpu, "_led", None)
             if led is None:
                 continue
@@ -713,14 +710,10 @@ class SimSanitizer:
 # ----------------------------------------------------------------------
 # process-wide installation
 # ----------------------------------------------------------------------
-@dataclass
-class _InstallHandle:
-    sim_init: Callable
-    machine_inits: List[tuple] = field(default_factory=list)
-    sanitizers: List[SimSanitizer] = field(default_factory=list)
-
-
-_active_handle: Optional[_InstallHandle] = None
+class _InstallHandle(PatchHandle):
+    @property
+    def sanitizers(self) -> List[SimSanitizer]:
+        return self.observers
 
 
 def _machine_classes():
@@ -737,55 +730,21 @@ def _machine_classes():
     return (ReceiverMachine, XenReceiverMachine, MqReceiverMachine)
 
 
+_installer: Installer[_InstallHandle] = Installer(_InstallHandle, _machine_classes)
+
+
 def install(deep_every: int = DEEP_AUDIT_INTERVAL) -> _InstallHandle:
     """Sanitize every Simulator and receiver machine created from now on.
 
     Idempotent: a second call returns the already-active handle.
     """
-    global _active_handle
-    if _active_handle is not None:
-        return _active_handle
-
-    sim_init = Simulator.__init__
-    handle = _InstallHandle(sim_init=sim_init)
-
-    def sanitized_sim_init(self) -> None:
-        sim_init(self)
-        handle.sanitizers.append(SimSanitizer(self, deep_every=deep_every))
-
-    Simulator.__init__ = sanitized_sim_init
-
-    for cls in _machine_classes():
-        machine_init = cls.__init__
-        handle.machine_inits.append((cls, machine_init))
-
-        def sanitized_machine_init(self, sim, *args, _orig=machine_init, **kwargs):
-            _orig(self, sim, *args, **kwargs)
-            for sanitizer in handle.sanitizers:
-                if sanitizer.sim is sim:
-                    sanitizer.watch_machine(self)
-                    break
-
-        cls.__init__ = sanitized_machine_init
-
-    _active_handle = handle
-    return handle
+    return _installer.install(lambda sim: SimSanitizer(sim, deep_every=deep_every))
 
 
 def uninstall(handle: Optional[_InstallHandle] = None) -> None:
     """Undo :func:`install`.  Already-created simulators stay sanitized."""
-    global _active_handle
-    if handle is None:
-        handle = _active_handle
-    if handle is None:
-        return
-
-    Simulator.__init__ = handle.sim_init
-    for cls, machine_init in handle.machine_inits:
-        cls.__init__ = machine_init
-    if handle is _active_handle:
-        _active_handle = None
+    _installer.uninstall(handle)
 
 
 def is_installed() -> bool:
-    return _active_handle is not None
+    return _installer.is_installed()

@@ -8,7 +8,7 @@ escapes its free.  :class:`ProgramIndex` builds that view from plain
 ``ast`` without importing any target module:
 
 * every class (with its base-class names) and every function/method,
-  keyed by dotted qualname (``repro.mq.kernel.MqKernel.app_drain``);
+  keyed by dotted qualname (``repro.host.kernel.Kernel.app_drain``);
 * per function: the calls it makes, the attribute writes it performs
   (split into writes through ``self`` and writes to other objects), and
   cheap semantic flags the rules consume (calls ``consume``, references

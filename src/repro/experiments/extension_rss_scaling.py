@@ -14,8 +14,9 @@ Expectations (the model's, not the paper's):
 * static RSS pays a growing ``xcpu`` toll (cache-line bouncing + cross-CPU
   wakeups, since the hash ignores where the consumer runs) that aRFS-style
   steering eliminates;
-* ``queues=1`` degenerates to the single-path rig of Figure 12 — those
-  rows are produced by the identical code path and match Figure 12
+* ``queues=1`` rows run the single-path rig of Figure 12 itself (the
+  classic machine, not a one-queue multi-queue machine, whose lock model
+  and per-NIC aggregation engines differ) and match Figure 12
   bit-for-bit.
 """
 
@@ -26,7 +27,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult, window
 from repro.host.configs import linux_smp_config
-from repro.mq.workload import run_mq_stream_experiment
 from repro.parallel import run_points
 from repro.workloads.stream import run_stream_experiment
 
@@ -46,8 +46,8 @@ def _measure_point(point: Tuple[int, int, float, float]) -> Dict[str, float]:
 
     Module-level and returning a plain dict so it is picklable for the
     :mod:`repro.parallel` process pool; each simulation is fully isolated.
-    ``queues == 1`` runs the classic single-path rig (same code path as
-    Figure 12, hence bit-identical rows); multi-queue points run the
+    ``queues == 1`` runs the classic single-path rig (same rig as Figure
+    12, hence bit-identical rows); multi-queue points run the
     baseline and optimized stacks under static RSS plus the baseline stack
     under aRFS-style flow steering.
     """
@@ -64,17 +64,17 @@ def _measure_point(point: Tuple[int, int, float, float]) -> Dict[str, float]:
         arfs_mbps = base.throughput_mbps  # one queue: nothing to steer
         xcpu = 0.0
     else:
-        base = run_mq_stream_experiment(
+        base = run_stream_experiment(
             linux_smp_config(), OptimizationConfig.baseline(),
             queues=q, steering="rss",
             n_connections=n, duration=duration, warmup=warmup,
         )
-        opt = run_mq_stream_experiment(
+        opt = run_stream_experiment(
             linux_smp_config(), OptimizationConfig.optimized(),
             queues=q, steering="rss",
             n_connections=n, duration=duration, warmup=warmup,
         )
-        arfs = run_mq_stream_experiment(
+        arfs = run_stream_experiment(
             linux_smp_config(), OptimizationConfig.baseline(),
             queues=q, steering="arfs",
             n_connections=n, duration=duration, warmup=warmup,

@@ -42,7 +42,6 @@ from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult, window
 from repro.host.configs import linux_smp_config, linux_up_config
 from repro.mem.hierarchy import MemConfig
-from repro.mq.workload import build_mq_stream_rig
 from repro.parallel import run_points
 from repro.workloads.stream import build_stream_rig
 
@@ -79,7 +78,7 @@ def measure_mode(
 ) -> Dict[str, float]:
     """Run one (rig, working set, receive mode) cell and return raw numbers.
 
-    Builds the rig directly (rather than via ``run_*_experiment``) because
+    Builds the rig directly (rather than via ``run_stream_experiment``) because
     the row wants the hierarchy counters off ``machine.mem`` alongside the
     goodput.  Cycles/byte is the busy-cycle delta over the measurement
     window divided by the delivered-byte delta — whole-stack cycles, so
@@ -91,18 +90,18 @@ def measure_mode(
         cfg = dataclasses.replace(
             linux_smp_config(), cpu_freq_hz=MQ4_CPU_FREQ_HZ, mem=mem
         )
-        sim, machine, _clients, _senders = build_mq_stream_rig(
+        sim, machine, _clients, _senders = build_stream_rig(
             cfg, opt, queues=4, steering="rss"
         )
-        busy_cycles = machine.total_busy_cycles
     elif system in ("up", "smp"):
         base = linux_up_config() if system == "up" else linux_smp_config()
         cfg = dataclasses.replace(base, mem=mem)
         sim, machine, _clients, _senders = build_stream_rig(cfg, opt)
-        cpu = machine.cpu
-        busy_cycles = lambda: cpu.busy_cycles  # noqa: E731 - local probe
     else:
         raise ValueError(f"unknown system {system!r} (want up, smp, or mq4)")
+
+    def busy_cycles() -> float:
+        return sum(cpu.busy_cycles for cpu in machine.cpus)
 
     def server_bytes() -> int:
         return sum(s.bytes_received for s in machine.kernel.sockets.values())

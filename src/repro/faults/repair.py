@@ -13,9 +13,9 @@ out is exactly the latency budget the sort spends.
 
 Placement: the driver owns one buffer per queue and routes drained packets
 through :meth:`process` before ``aggregator.enqueue`` — the same seam on
-UP (``host/machine.py`` via the kernel) and mq rigs (``mq/kernel.py`` via
-the per-queue :class:`~repro.mq.kernel.SoftirqPort`), so all repair work
-happens on the CPU that owns the queue (no cross-CPU traffic).
+UP and mq rigs (each driver's :class:`~repro.host.kernel.SoftirqPort`), so
+all repair work happens on the CPU that owns the queue (no cross-CPU
+traffic).
 
 Cost model: every probe, sorted insert, and release is charged through
 ``Cpu.consume`` under :attr:`~repro.cpu.categories.Category.REPAIR`, inside

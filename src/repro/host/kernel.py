@@ -3,12 +3,30 @@
 Everything the paper profiles happens here or in the driver: softirq
 processing, IP/TCP layer work, buffer management, ACK transmission, the
 socket layer, copy-to-user, and wakeups.  Each operation charges cycles on
-the host CPU in the category the paper's figures use.
+the current CPU in the category the paper's figures use.
 
 The kernel also implements the transport interface of
 :class:`repro.tcp.connection.TcpConnection`, which is where Acknowledgment
 Offload plugs in: a batch of consecutive ACKs becomes a single template-ACK
 sk_buff (§4) when the optimization is enabled.
+
+One kernel serves every rig.  It runs over a list of CPUs — one for the
+classic and Xen hosts, one per receive queue for the multi-queue host —
+and tracks which of them is executing (``cpu`` / ``_current_idx``, set
+only by :meth:`Kernel.enter_cpu`).  Execution contexts pick their CPU:
+
+* **Softirq** — each driver holds a :class:`SoftirqPort` bound to its
+  queue's CPU; the port enters that CPU around the softirq body.
+* **Application** — each accepted socket is pinned round-robin to an
+  ``app_cpu_index``; :meth:`Kernel.app_drain` switches to it for the
+  syscall/copy/window-update work.
+* **Timers** — :class:`KernelTimers` fire on the CPU that armed them
+  (Linux timers stay on their arming CPU).
+
+Cross-CPU traffic is charged mechanistically (see :mod:`repro.mq.costs`):
+a demux that lands on a socket consumed by another CPU pays cache-line
+bounce cycles, and a cross-CPU wakeup pays IPI + remote-wakeup cycles,
+all in ``Category.XCPU``.  With one CPU neither charge can fire.
 """
 
 from __future__ import annotations
@@ -36,51 +54,92 @@ RECV_CHUNK = 16384
 
 
 class KernelTimers:
-    """TCP timers that fire as CPU tasks (serialized with packet work)."""
+    """TCP timers that fire as CPU tasks on the CPU that armed them
+    (serialized with that CPU's packet work)."""
 
-    def __init__(self, sim: Simulator, cpu: Cpu):
+    def __init__(self, sim: Simulator, kernel: "Kernel"):
         self.sim = sim
-        self.cpu = cpu
+        self.kernel = kernel
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> "_KernelTimerHandle":
-        return _KernelTimerHandle(self, delay, fn)
+        return _KernelTimerHandle(self, delay, fn, self.kernel._current_idx)
 
     def restart(self, handle: "_KernelTimerHandle", delay: float) -> "_KernelTimerHandle":
         """Re-arm ``handle`` as ``handle.cancel()`` + ``schedule(delay, fn)``
-        would.  A handle whose event already fired (its CPU task may still
-        be queued) or that was cancelled is cancelled and replaced; a
-        pending one keeps its identity and moves its event."""
+        would, including firing on the CPU that re-arms it.  A handle whose
+        event already fired (its CPU task may still be queued) or that was
+        cancelled is cancelled and replaced; a pending one keeps its
+        identity and moves its event."""
         if handle.cancelled or handle.event._fired:
             handle.cancel()
             return self.schedule(delay, handle.fn)
-        handle.move(delay)
+        handle.move(delay, self.kernel._current_idx)
         return handle
 
 
 class _KernelTimerHandle:
-    __slots__ = ("timers", "fn", "cancelled", "event")
+    __slots__ = ("timers", "fn", "cancelled", "event", "cpu_index")
 
-    def __init__(self, timers: KernelTimers, delay: float, fn: Callable[[], None]):
+    def __init__(self, timers: KernelTimers, delay: float, fn: Callable[[], None], cpu_index: int):
         self.timers = timers
         self.fn = fn
         self.cancelled = False
+        self.cpu_index = cpu_index
         self.event = timers.sim.schedule(delay, self._fire)
 
     def _fire(self) -> None:
         if not self.cancelled:
-            self.timers.cpu.submit(self._run)
+            self.timers.kernel.cpus[self.cpu_index].submit(self._run)
 
     def _run(self) -> None:
-        if not self.cancelled:
+        if self.cancelled:
+            return
+        kernel = self.timers.kernel
+        prev = kernel.enter_cpu(self.cpu_index)
+        try:
             self.fn()
+        finally:
+            kernel.enter_cpu(prev)
 
     def cancel(self) -> None:
         self.cancelled = True
         self.event.cancel()
 
-    def move(self, delay: float) -> None:
-        """Re-arm the pending event to fire ``delay`` from now."""
+    def move(self, delay: float, cpu_index: int) -> None:
+        """Re-arm the pending event ``delay`` from now, to fire on ``cpu_index``."""
         self.event = self.timers.sim.restart(self.event, delay)
+        self.cpu_index = cpu_index
+
+
+class SoftirqPort:
+    """The driver-facing kernel interface for one receive queue.
+
+    Each driver gets one of these as its ``kernel``: it enters the queue's
+    CPU for the duration of the softirq and holds the aggregation engine
+    the queue feeds — the rig's one shared engine on the classic host, the
+    queue's own (per-CPU, lock-free — §3.5) engine on the multi-queue host.
+    """
+
+    def __init__(self, kernel: "Kernel", cpu_index: int, aggregator=None):
+        self.kernel = kernel
+        self.cpu_index = cpu_index
+        self.aggregator = aggregator
+
+    def softirq_baseline(self, skbs: List[SkBuff]) -> None:
+        kernel = self.kernel
+        prev = kernel.enter_cpu(self.cpu_index)
+        try:
+            kernel.softirq_baseline(skbs)
+        finally:
+            kernel.enter_cpu(prev)
+
+    def softirq_aggregated(self) -> None:
+        kernel = self.kernel
+        prev = kernel.enter_cpu(self.cpu_index)
+        try:
+            kernel.softirq_aggregated(self.aggregator)
+        finally:
+            kernel.enter_cpu(prev)
 
 
 class KernelSocket:
@@ -106,6 +165,9 @@ class KernelSocket:
         self.established = False
         self.remote_closed = False
         self.closed = False
+        #: Index of the CPU the consuming application runs on (pinned at
+        #: accept time; always 0 on a one-CPU kernel).
+        self.app_cpu_index = 0
         #: True while queued on the kernel's dirty list (O(1) membership
         #: test; the list itself keeps first-dirtied drain order).
         self.dirty = False
@@ -144,29 +206,53 @@ class KernelSocket:
 
 
 class Kernel:
-    """The receive host's network stack, socket layer, and app drain."""
+    """The receive host's network stack, socket layer, and app drain,
+    running over one or more CPUs."""
 
     def __init__(
         self,
         sim: Simulator,
-        cpu: Cpu,
+        cpus: List[Cpu],
         config: SystemConfig,
         opt: OptimizationConfig,
         pool: Optional[BufferPool] = None,
         name: str = "kernel",
+        steering=None,
+        cross=None,
     ):
+        if not cpus:
+            raise ValueError("Kernel needs at least one CPU")
         self.sim = sim
-        self.cpu = cpu
+        self.cpus = list(cpus)
+        #: Index of the CPU currently executing kernel code and that CPU
+        #: (softirq, app, or timer context); only enter_cpu writes them.
+        self._current_idx = 0
+        self.cpu = self.cpus[0]
         self.config = config
         self.opt = opt
         self.pool = pool if pool is not None else BufferPool(name=f"{name}-skb")
         self.name = name
-        self.timers = KernelTimers(sim, cpu)
+        self.timers = KernelTimers(sim, self)
+        #: Flow-steering policy told where each accepted socket's consumer
+        #: runs (None: no steering to program).
+        self.steering = steering
+        if cross is None:
+            # Imported here: repro.mq's package import builds on this module.
+            from repro.mq.costs import CrossCpuCostModel
+
+            cross = CrossCpuCostModel()
+        self.cross = cross
+        self._next_app_cpu = 0
+        #: Race checker seam (None unless --racecheck): same idiom as the
+        #: tracer's ``_tr`` — one attribute load on the charged paths.
+        self._rc = None
 
         self.connections: Dict[FlowKey, TcpConnection] = {}
         self.sockets: Dict[FlowKey, KernelSocket] = {}
         self.listeners: Dict[int, Callable[[KernelSocket], None]] = {}
-        self.routes: Dict[int, object] = {}  # dst ip -> driver
+        #: dst ip -> per-CPU tx drivers; the sending CPU uses its own
+        #: queue's driver (MSI-X tx/rx pairing).
+        self.routes: Dict[int, list] = {}
         self.ip: int = 0
         self._iss = 5_000_000
         self._dirty_sockets: List[KernelSocket] = []
@@ -174,7 +260,11 @@ class Kernel:
         #: connection's template so ACK transmission recycles dead packets.
         self.packet_slab = None
 
-        self.aggregator = None  # set by the machine when aggregation is on
+        #: The rig's one shared aggregation engine (classic host; set by
+        #: the machine when aggregation is on) ...
+        self.aggregator = None
+        #: ... or one engine per receive queue (multi-queue host).
+        self.aggregators: list = []
         #: Memory hierarchy + NUMA topology (None unless ``config.mem`` is
         #: set; wired by the machine).  With both None every charge goes
         #: through the flat CacheModel, byte-identical to the pre-mem code.
@@ -205,8 +295,18 @@ class Kernel:
     def set_ip(self, ip: int) -> None:
         self.ip = ip
 
-    def register_route(self, dst_ip: int, driver) -> None:
-        self.routes[dst_ip] = driver
+    def register_route(self, dst_ip: int, drivers: list) -> None:
+        """Route ``dst_ip`` through one tx driver per CPU, indexed like
+        ``cpus`` (a one-CPU kernel registers ``[driver]``)."""
+        self.routes[dst_ip] = drivers
+
+    def enter_cpu(self, index: int) -> int:
+        """Switch kernel execution to ``cpus[index]``; returns the previous
+        index, which callers restore through ``enter_cpu`` again."""
+        prev = self._current_idx
+        self._current_idx = index
+        self.cpu = self.cpus[index]
+        return prev
 
     def listen(self, port: int, on_accept: Optional[Callable[[KernelSocket], None]] = None) -> None:
         """Accept connections on ``port``; ``on_accept(socket)`` lets the
@@ -251,17 +351,17 @@ class Kernel:
                 args={"skbs": len(skbs)},
             )
 
-    def softirq_aggregated(self) -> None:
-        """Optimized path: run the aggregation engine over its queue."""
+    def softirq_aggregated(self, aggregator) -> None:
+        """Optimized path: run ``aggregator`` over its queue."""
         tr = self._tr
         if tr is not None:
             t0 = max(self.cpu.busy_until, self.sim.now)
-            n_in = len(self.aggregator.queue)
+            n_in = len(aggregator.queue)
         led = self._led
         if led is not None:
             led.push_stage("softirq")
         self.cpu.consume(self.cpu.costs.softirq_dispatch, Category.MISC)
-        self.aggregator.run()
+        aggregator.run()
         self.app_drain()
         if led is not None:
             led.pop_stage()
@@ -395,120 +495,173 @@ class Kernel:
         key = FlowKey(pkt.ip.dst_ip, pkt.tcp.dst_port, pkt.ip.src_ip, pkt.tcp.src_port)
         conn = self.connections.get(key)
         if conn is not None:
-            return conn, self.sockets.get(key)
-        on_accept = self.listeners.get(pkt.tcp.dst_port)
-        if on_accept is None:
-            return None, None
-        conn = TcpConnection(
-            key=key,
-            config=self.default_tcp_config(),
-            clock=lambda: self.sim.now,
-            timers=self.timers,
-            transport=self,
-            iss=self._next_iss(),
-            name=f"{self.name}:accept:{key.dst_port}",
-        )
-        conn.passive_open()
-        if self.packet_slab is not None:
-            conn._template.slab = self.packet_slab
-        sock = self._accept_socket(key, conn)
-        self.connections[key] = conn
-        self.sockets[key] = sock
-        on_accept(sock)
+            sock = self.sockets.get(key)
+        else:
+            on_accept = self.listeners.get(pkt.tcp.dst_port)
+            if on_accept is None:
+                return None, None
+            conn = TcpConnection(
+                key=key,
+                config=self.default_tcp_config(),
+                clock=lambda: self.sim.now,
+                timers=self.timers,
+                transport=self,
+                iss=self._next_iss(),
+                name=f"{self.name}:accept:{key.dst_port}",
+            )
+            conn.passive_open()
+            if self.packet_slab is not None:
+                conn._template.slab = self.packet_slab
+            sock = self._accept_socket(key, conn)
+            self.connections[key] = conn
+            self.sockets[key] = sock
+            on_accept(sock)
+        if sock is not None and sock.app_cpu_index != self._current_idx:
+            # The connection's hot state was last touched on the consuming
+            # CPU: pull it across caches (§2.3's contention, priced per
+            # line instead of as a blanket factor).
+            self.cpu.consume(self.cross.bounce_cycles(), Category.XCPU)
+            if self._rc is not None:
+                self._rc.note_socket_access(sock, self._current_idx, "demux")
+            tr = self._tr
+            if tr is not None:
+                tr.event(
+                    Stage.XCPU_BOUNCE,
+                    max(self.cpu.busy_until, self.sim.now),
+                    tid=cpu_tid(self.cpu),
+                    args={"app_cpu": sock.app_cpu_index},
+                )
         return conn, sock
 
     def _accept_socket(self, key: FlowKey, conn: TcpConnection) -> KernelSocket:
-        """Create the socket for a newly accepted connection.  Hook point:
-        the multi-queue kernel overrides this to pin the socket to an
-        application CPU and program flow steering."""
-        return KernelSocket(self, conn)
+        """Create the socket for a newly accepted connection, pinned
+        round-robin to an application CPU (and steered there)."""
+        sock = KernelSocket(self, conn)
+        index = self._next_app_cpu % len(self.cpus)
+        self._next_app_cpu += 1
+        sock.app_cpu_index = index
+        if self.steering is not None:
+            # ``key`` is the local 4-tuple; the NIC steers on the wire
+            # (client -> server) direction, which is its reverse.
+            self.steering.note_consumer(key.reverse(), index)
+        if self._rc is not None:
+            self._rc.tag_socket(sock, index)
+        return sock
 
     def _mem_node_of(self, sock: KernelSocket) -> int:
-        """NUMA node of the CPU that consumes ``sock``'s data.  The
-        single-CPU kernel lives on node 0; the multi-queue kernel maps the
-        socket's application CPU through the topology."""
-        return 0
+        """NUMA node of the CPU that consumes ``sock``'s data."""
+        topology = self.topology
+        if topology is None:
+            return 0
+        return topology.node_of_cpu(sock.app_cpu_index)
 
     # ------------------------------------------------------------------
     # application drain (end of softirq)
     # ------------------------------------------------------------------
     def app_drain(self) -> None:
-        """Wake the receiving process(es) and copy pending data to user space."""
+        """Wake the receiving process(es) and copy pending data to user
+        space, each socket on its application CPU."""
         if not self._dirty_sockets:
             return
-        costs = self.cpu.costs
-        consume = self.cpu.consume
+        softirq_idx = self._current_idx
         led = self._led
         if led is not None:
             led.push_stage("sock_read")
             prev_flow = led.set_flow(UNATTRIBUTED)
-        consume(costs.wakeup, Category.MISC)
+        self.cpu.consume(self.cpu.costs.wakeup, Category.MISC)
         tr = self._tr
         dirty, self._dirty_sockets = self._dirty_sockets, []
-        for sock in dirty:
-            sock.dirty = False
-            if led is not None:
-                # Server-side connection keys are reversed (src = this
-                # host), so the service port classifying the flow is
-                # the key's *source* port.
-                led.set_flow(led.flow_for_port(sock.conn.key.src_port))
-            nbytes = sock.pending_bytes
-            if nbytes <= 0:
-                continue
-            if tr is not None:
-                t0 = max(self.cpu.busy_until, self.sim.now)
-            syscalls = max(1, math.ceil(nbytes / RECV_CHUNK))
-            consume(costs.syscall * syscalls, Category.MISC)
-            if self.opt.zero_copy:
-                zc = self.zcrx
-                for item_bytes, extra_frags, meminfo in sock.pending_items:
-                    cycles, pages, cold = zcrx_item_cycles(costs, item_bytes, meminfo)
-                    consume(cycles, Category.PER_BYTE)
-                    zc.skbs += 1
-                    zc.pages_mapped += pages
-                    zc.cold_pages += cold
-            else:
-                mem = self.mem
-                for item_bytes, extra_frags, meminfo in sock.pending_items:
-                    if meminfo is None:
-                        cycles = costs.copy_cycles(item_bytes)
-                    else:
-                        cycles = mem.copy_cycles(
-                            item_bytes, meminfo, costs.cache.copy_cycles_per_byte
+        try:
+            for sock in dirty:
+                sock.dirty = False
+                nbytes = sock.pending_bytes
+                if nbytes <= 0:
+                    continue
+                if led is not None:
+                    # Server-side connection keys are reversed (src = this
+                    # host), so the service port classifying the flow is
+                    # the key's *source* port.
+                    led.set_flow(led.flow_for_port(sock.conn.key.src_port))
+                app_idx = sock.app_cpu_index
+                if app_idx != softirq_idx:
+                    # Cross-CPU wakeup: IPI from the softirq CPU, interrupt
+                    # entry + schedule on the application's CPU.
+                    self.cpu.consume(self.cross.ipi_cycles, Category.XCPU)
+                    self.enter_cpu(app_idx)
+                    self.cpu.consume(self.cross.remote_wakeup_cycles, Category.XCPU)
+                    if self._rc is not None:
+                        self._rc.note_socket_access(sock, softirq_idx, "app wakeup")
+                    if tr is not None:
+                        tr.event(
+                            Stage.XCPU_WAKEUP,
+                            max(self.cpu.busy_until, self.sim.now),
+                            tid=cpu_tid(self.cpu),
+                            args={"from_cpu": softirq_idx},
                         )
-                    consume(
-                        cycles + costs.copy_setup_per_fragment * extra_frags,
-                        Category.PER_BYTE,
+                cpu = self.cpu
+                if tr is not None:
+                    t0 = max(cpu.busy_until, self.sim.now)
+                costs = cpu.costs
+                consume = cpu.consume
+                syscalls = max(1, math.ceil(nbytes / RECV_CHUNK))
+                consume(costs.syscall * syscalls, Category.MISC)
+                if self.opt.zero_copy:
+                    zc = self.zcrx
+                    for item_bytes, extra_frags, meminfo in sock.pending_items:
+                        cycles, pages, cold = zcrx_item_cycles(costs, item_bytes, meminfo)
+                        consume(cycles, Category.PER_BYTE)
+                        zc.skbs += 1
+                        zc.pages_mapped += pages
+                        zc.cold_pages += cold
+                else:
+                    mem = self.mem
+                    for item_bytes, extra_frags, meminfo in sock.pending_items:
+                        if meminfo is None:
+                            cycles = costs.copy_cycles(item_bytes)
+                        else:
+                            cycles = mem.copy_cycles(
+                                item_bytes, meminfo, costs.cache.copy_cycles_per_byte
+                            )
+                        consume(
+                            cycles + costs.copy_setup_per_fragment * extra_frags,
+                            Category.PER_BYTE,
+                        )
+                        self.copy_charged_items += 1
+                pending, sock.pending = sock.pending, []
+                sock.pending_items = []
+                sock.pending_bytes = 0
+                sock.bytes_received += nbytes
+                # mark_read may emit a window update: it is sent from the
+                # application's CPU (Linux: from the syscall context).
+                sock.conn.mark_read(nbytes)
+                if tr is not None:
+                    tr.event(
+                        Stage.SOCK_READ,
+                        t0,
+                        max(0.0, cpu.busy_until - t0),
+                        tid=cpu_tid(cpu),
+                        args={"bytes": nbytes},
                     )
-                    self.copy_charged_items += 1
-            pending, sock.pending = sock.pending, []
-            sock.pending_items = []
-            sock.pending_bytes = 0
-            sock.bytes_received += nbytes
-            sock.conn.mark_read(nbytes)
-            if tr is not None:
-                tr.event(
-                    Stage.SOCK_READ,
-                    t0,
-                    max(0.0, self.cpu.busy_until - t0),
-                    tid=cpu_tid(self.cpu),
-                    args={"bytes": nbytes},
-                )
-            if sock.on_data_cb is not None:
-                for payload, length in pending:
-                    sock.on_data_cb(sock, payload, length)
-        if led is not None:
-            led.pop_stage()
-            led.set_flow(prev_flow)
+                if sock.on_data_cb is not None:
+                    for payload, length in pending:
+                        sock.on_data_cb(sock, payload, length)
+                if app_idx != softirq_idx:
+                    self.enter_cpu(softirq_idx)
+        finally:
+            if self._current_idx != softirq_idx:
+                self.enter_cpu(softirq_idx)
+            if led is not None:
+                led.pop_stage()
+                led.set_flow(prev_flow)
 
     # ------------------------------------------------------------------
     # transport interface (costed transmit paths)
     # ------------------------------------------------------------------
     def _driver_for(self, conn: TcpConnection):
-        driver = self.routes.get(conn.key.dst_ip)
-        if driver is None:
+        drivers = self.routes.get(conn.key.dst_ip)
+        if drivers is None:
             raise RuntimeError(f"{self.name}: no route to {conn.key.dst_ip}")
-        return driver
+        return drivers[self._current_idx]
 
     def send_packet(self, conn: TcpConnection, pkt: Packet) -> None:
         """Data/control segment transmit path (handshake, responses, FIN)."""

@@ -25,7 +25,7 @@ from repro.faults.repair import ReorderRepairBuffer
 from repro.driver.e1000 import E1000Driver
 from repro.host.client import ClientHost
 from repro.host.configs import OptimizationConfig, SystemConfig
-from repro.host.kernel import Kernel
+from repro.host.kernel import Kernel, SoftirqPort
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.topology import NumaTopology
 from repro.net.addresses import ip_from_str
@@ -35,15 +35,14 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 
 
-def _repair_sink(kernel):
+def _repair_sink(port: SoftirqPort):
     """Deadline-release path for a repair buffer: the same enqueue + softirq
-    kick the driver's ISR performs (works for the UP kernel and for the mq
-    per-queue :class:`~repro.mq.kernel.SoftirqPort` alike)."""
+    kick the driver's ISR performs through its :class:`SoftirqPort`."""
 
     def sink(pkts):
         if pkts:
-            kernel.aggregator.enqueue(pkts)
-            kernel.softirq_aggregated()
+            port.aggregator.enqueue(pkts)
+            port.softirq_aggregated()
 
     return sink
 
@@ -66,6 +65,8 @@ class ReceiverMachine:
         self.name = name
 
         self.cpu = Cpu(sim, config.cpu_freq_hz, costs=config.costs, locks=config.locks, name=f"{name}-cpu0")
+        #: Every costed CPU of the machine (one here).
+        self.cpus: List[Cpu] = [self.cpu]
         self.pool = BufferPool(name=f"{name}-skb")
         #: Rig-wide packet freelist: dead length-only packets (data segments
         #: freed with their skb, ACKs finished at the clients) are re-stamped
@@ -75,7 +76,7 @@ class ReceiverMachine:
             None if os.environ.get("REPRO_NO_SLAB") == "1" else PacketSlab()
         )
         self.pool.slab = self.packet_slab
-        self.kernel = Kernel(sim, self.cpu, config, opt, pool=self.pool, name=name)
+        self.kernel = Kernel(sim, self.cpus, config, opt, pool=self.pool, name=name)
         self.kernel.packet_slab = self.packet_slab
         self.kernel.set_ip(self.ip)
         #: Memory hierarchy (None unless ``config.mem`` is set — the
@@ -151,20 +152,22 @@ class ReceiverMachine:
             for queue in nic.queues:
                 queue.mem = self.mem
                 queue.mem_node = self.topology.node_of_queue(queue.index)
+        # Every driver softirqs on CPU 0 into the rig's one shared engine.
+        port = SoftirqPort(self.kernel, 0, aggregator=self.kernel.aggregator)
         repair = None
         if self.opt.repair is not None and self.opt.receive_aggregation:
             repair = ReorderRepairBuffer(
                 cpu=self.cpu,
                 config=self.opt.repair,
                 governor=self.governor,
-                sink=_repair_sink(self.kernel),
+                sink=_repair_sink(port),
                 name=f"{self.name}-repair{index}",
             )
             self.repairs.append(repair)
         driver = E1000Driver(
             cpu=self.cpu,
             nic=nic,
-            kernel=self.kernel,
+            kernel=port,
             pool=self.pool,
             aggregation=self.opt.receive_aggregation,
             tso=cfg.tso,
@@ -187,7 +190,7 @@ class ReceiverMachine:
         nic.attach_tx(outbound)
         if client.packet_slab is None:
             client.packet_slab = self.packet_slab
-        self.kernel.register_route(client.ip, driver)
+        self.kernel.register_route(client.ip, [driver])
         self.nics.append(nic)
         self.drivers.append(driver)
         self.clients.append(client)

@@ -10,18 +10,19 @@ Modules
 ``rss``       Toeplitz hash + 128-entry indirection table (spec-exact).
 ``steering``  Pluggable policies: static RSS vs aRFS-style flow steering.
 ``costs``     Mechanistic cross-CPU costs + residual SMP lock model.
-``kernel``    The base kernel generalized to N CPUs (softirq/app/timer
-              contexts each pick their CPU; cross-CPU traffic is charged).
+``kernel``    The machine's kernel: the costed kernel of
+              :mod:`repro.host.kernel`, which runs natively over N CPUs.
 ``machine``   N-CPU receiver machine with per-queue drivers and per-CPU
               aggregation engines.
-``workload``  The streaming benchmark on the multi-queue machine.
+
+The streaming benchmark runs on this machine through
+:func:`repro.workloads.stream.run_stream_experiment` with ``queues`` set.
 """
 
 from repro.mq.costs import CrossCpuCostModel, mq_lock_model
 from repro.mq.machine import MqReceiverMachine
 from repro.mq.rss import RSS_DEFAULT_KEY, IndirectionTable, RssHasher, toeplitz_hash
 from repro.mq.steering import FlowSteering, StaticRssSteering, SteeringPolicy, make_policy
-from repro.mq.workload import build_mq_stream_rig, run_mq_stream_experiment
 
 __all__ = [
     "CrossCpuCostModel",
@@ -35,6 +36,4 @@ __all__ = [
     "StaticRssSteering",
     "SteeringPolicy",
     "make_policy",
-    "build_mq_stream_rig",
-    "run_mq_stream_experiment",
 ]

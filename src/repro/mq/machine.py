@@ -12,7 +12,7 @@ arriving frame.
 Instead of the paper's blanket SMP lock inflation the CPUs run the
 residual :func:`~repro.mq.costs.mq_lock_model`, and cross-CPU traffic is
 charged mechanistically by :class:`~repro.mq.costs.CrossCpuCostModel`
-(see :mod:`repro.mq.kernel`).
+(see :mod:`repro.host.kernel`).
 """
 
 from __future__ import annotations
@@ -203,7 +203,6 @@ class MqReceiverMachine:
                     sink=_repair_sink(port),
                     name=f"{self.name}-repair{index}.{q}",
                 )
-                port.repair = repair
                 self.repairs.append(repair)
             driver = E1000Driver(
                 cpu=self.cpus[q],
@@ -245,7 +244,8 @@ class MqReceiverMachine:
         """The static part of the rig's CPU-ownership table: (component,
         owning CPU index) for every ring, aggregation engine, and softirq
         path.  Sockets join the table dynamically at accept time (see
-        :meth:`MqKernel._accept_socket` and :mod:`repro.analysis.racecheck`,
+        :meth:`repro.host.kernel.Kernel._accept_socket` and
+        :mod:`repro.analysis.racecheck`,
         which enforces the table at run time).
         """
         table: List[Tuple[str, int]] = []

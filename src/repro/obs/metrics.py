@@ -359,8 +359,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge("faults.ended", lambda s=stats: s.faults_ended)
         registry.gauge("faults.active", lambda s=stats: s.active)
 
-    cpus = getattr(machine, "cpus", None) or [machine.cpu]
-    for index, cpu in enumerate(cpus):
+    for index, cpu in enumerate(machine.cpus):
         base = f"cpu.{index}"
         registry.gauge(f"{base}.busy_cycles", lambda c=cpu: c.busy_cycles)
         registry.gauge(

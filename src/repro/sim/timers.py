@@ -7,8 +7,9 @@ Protocol objects schedule timers through a small interface
 handle).  Client
 machines use :class:`SimTimers`, which fires callbacks directly on the event
 loop.  The receive host under test uses
-:class:`~repro.host.kernel.KernelTimers`, which runs callbacks as CPU tasks
-so timer work is serialized with (and delayed by) packet processing.
+:class:`~repro.host.kernel.KernelTimers`, which runs callbacks as tasks on
+the CPU that armed them, so timer work is serialized with (and delayed by)
+that CPU's packet processing.
 """
 
 from __future__ import annotations

@@ -8,11 +8,17 @@ the CPU-utilization and per-packet profile needed by the breakdown figures.
 
 Multi-connection variants (paper §5.3, Figure 12) distribute N connections
 round-robin over the NICs/clients.
+
+The same runner drives the multi-queue host
+(:class:`~repro.mq.machine.MqReceiverMachine`) when ``queues`` is given:
+busy cycles and the profile are summed over ``machine.cpus`` on every rig
+(the way the paper's SMP breakdowns sum both processors), and utilization
+is measured against that many CPUs' worth of capacity.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import ImpairmentConfig
@@ -29,11 +35,19 @@ from repro.tcp.connection import TcpConfig
 from repro.tcp.source import InfiniteSource
 from repro.workloads.results import ThroughputResult
 
+if TYPE_CHECKING:
+    from repro.mq.steering import SteeringPolicy
+
 SERVER_PORT = 5001
 
 
-def make_receiver(sim, config, opt, ip):
-    """Build the right machine type (native or Xen) for ``config``."""
+def make_receiver(sim, config, opt, ip, queues=None, steering="rss"):
+    """Build the right machine type for ``config``: multi-queue when
+    ``queues`` is given, else Xen or native."""
+    if queues is not None:
+        from repro.mq.machine import MqReceiverMachine
+
+        return MqReceiverMachine(sim, config, opt, queues=queues, steering=steering, ip=ip)
     if config.is_xen:
         from repro.xen.machine import XenReceiverMachine
 
@@ -47,8 +61,15 @@ def build_stream_rig(
     n_connections: Optional[int] = None,
     impairments: Optional[ImpairmentConfig] = None,
     materialize: bool = False,
+    queues: Optional[int] = None,
+    steering: Union[str, "SteeringPolicy"] = "rss",
 ):
     """Assemble sim + server + clients + connections; returns them unstarted.
+
+    ``queues`` builds the multi-queue server with that many per-CPU receive
+    paths, flows picked by ``steering`` (``"rss"``, ``"arfs"`` or a policy
+    object); None builds the classic single-path (or Xen) server.  Client
+    addressing and connection order are the same for every server.
 
     ``impairments`` optionally applies steady-state wire impairments
     (drop/reorder/dup probabilities, per-link seeded RNG streams) and arms a
@@ -60,7 +81,9 @@ def build_stream_rig(
     throughput runs keep the default length-only segments.
     """
     sim = Simulator()
-    machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
+    machine = make_receiver(
+        sim, config, opt, ip=ip_from_str("10.0.0.1"), queues=queues, steering=steering
+    )
     machine.listen(SERVER_PORT)
 
     imp = impairments
@@ -149,12 +172,23 @@ def run_stream_experiment(
     duration: float = 0.30,
     warmup: float = 0.15,
     impairments: Optional[ImpairmentConfig] = None,
+    queues: Optional[int] = None,
+    steering: Union[str, "SteeringPolicy"] = "rss",
 ) -> ThroughputResult:
-    """Run the streaming benchmark and measure over [warmup, warmup+duration]."""
-    label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}"
+    """Run the streaming benchmark and measure over [warmup, warmup+duration].
+
+    ``queues``/``steering`` select the multi-queue server (see
+    :func:`build_stream_rig`); its results are labelled
+    ``<system>/mq<queues>-<steering>``.
+    """
+    if queues is None:
+        label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}"
+    else:
+        label = f"{config.name}/mq{queues}"
     with obs_runtime.observe(label) as obs:
         result = _run_stream_observed(
-            config, opt, n_connections, duration, warmup, obs, impairments
+            config, opt, n_connections, duration, warmup, obs, impairments,
+            queues, steering,
         )
         if obs is not None:
             obs.meta.update(system=result.system, optimized=result.optimized)
@@ -170,32 +204,42 @@ def _run_stream_observed(
     duration: float,
     warmup: float,
     obs,
-    impairments: Optional[ImpairmentConfig] = None,
+    impairments: Optional[ImpairmentConfig],
+    queues: Optional[int],
+    steering,
 ) -> ThroughputResult:
     sim, machine, clients, senders = build_stream_rig(
-        config, opt, n_connections, impairments=impairments
+        config, opt, n_connections, impairments=impairments,
+        queues=queues, steering=steering,
     )
     bind_observation(obs, sim, machine, senders, horizon=warmup + duration)
     bind_ledger(obs, warmup, {SERVER_PORT: "stream"})
+    cpus = machine.cpus
 
     sim.run(until=warmup)
-    profile0 = machine.profiler.snapshot(sim.now)
-    busy0 = machine.cpu.busy_cycles
+    profile0 = _merged_snapshot(cpus, sim.now)
+    busy0 = _busy_cycles(cpus)
     bytes0 = _server_bytes(machine)
     drops0 = machine.total_ring_drops()
     rtx0 = _sender_retransmits(senders)
 
     sim.run(until=warmup + duration)
-    profile1 = machine.profiler.snapshot(sim.now)
+    profile1 = _merged_snapshot(cpus, sim.now)
     delta = profile1.diff(profile0)
     bytes_rx = _server_bytes(machine) - bytes0
-    busy = machine.cpu.busy_cycles - busy0
-    utilization = min(1.0, busy / (duration * machine.cpu.freq_hz))
+    busy = _busy_cycles(cpus) - busy0
+    # Utilization against the whole package: every CPU's worth of cycles.
+    capacity = duration * cpus[0].freq_hz * len(cpus)
+    utilization = min(1.0, busy / capacity)
     n_pkts = max(1, delta.network_packets)
     stamp_ledger_measurement(obs, delta, bytes_rx)
 
+    if queues is None:
+        system = config.name
+    else:
+        system = f"{config.name}/mq{queues}-{machine.steering.name}"
     return ThroughputResult(
-        system=config.name,
+        system=system,
         optimized=opt.receive_aggregation,
         throughput_mbps=bytes_rx * 8 / duration / 1e6,
         cpu_utilization=utilization,
@@ -214,7 +258,18 @@ def _run_stream_observed(
     )
 
 
-def _server_bytes(machine: ReceiverMachine) -> int:
+def _merged_snapshot(cpus, time: float):
+    """Profile counters summed over ``cpus``, stamped at ``time``."""
+    snap = cpus[0].profiler.merged([cpu.profiler for cpu in cpus[1:]])
+    snap.time = time
+    return snap
+
+
+def _busy_cycles(cpus) -> float:
+    return sum(cpu.busy_cycles for cpu in cpus)
+
+
+def _server_bytes(machine) -> int:
     return sum(sock.bytes_received for sock in machine.kernel.sockets.values())
 
 

@@ -66,6 +66,8 @@ class XenReceiverMachine:
         self.xen_costs = xen_costs if xen_costs is not None else XenCostModel()
 
         self.cpu = Cpu(sim, config.cpu_freq_hz, costs=config.costs, locks=config.locks, name=f"{name}-cpu0")
+        #: Every costed CPU of the machine (one, shared by all three layers).
+        self.cpus: List[Cpu] = [self.cpu]
         #: Driver-domain view: native categories, native costs.
         self.dd_cpu = CpuView(self.cpu, name=f"{name}-dom0")
         #: Guest view: rx/tx land in "tcp rx"/"tcp tx", guest work inflated.
@@ -81,7 +83,7 @@ class XenReceiverMachine:
 
         # The guest kernel is the unmodified costed kernel, running on the
         # guest CPU view with its own buffer pool.
-        self.kernel = Kernel(sim, self.guest_cpu, config, opt, pool=self.guest_pool, name=f"{name}-guest")
+        self.kernel = Kernel(sim, [self.guest_cpu], config, opt, pool=self.guest_pool, name=f"{name}-guest")
         self.kernel.set_ip(self.ip)
 
         self.driver_domain = DriverDomain(
@@ -161,7 +163,7 @@ class XenReceiverMachine:
         )
         client.attach_tx(inbound)
         nic.attach_tx(outbound)
-        self.kernel.register_route(client.ip, tx_path)
+        self.kernel.register_route(client.ip, [tx_path])
         self.nics.append(nic)
         self.drivers.append(driver)
         self.tx_paths.append(tx_path)

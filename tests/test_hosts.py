@@ -5,9 +5,8 @@ import pytest
 from repro.core.config import OptimizationConfig
 from repro.cpu.cpu import Cpu
 from repro.host.client import ClientHost
-from repro.host.kernel import KernelTimers
+from repro.host.kernel import Kernel
 from repro.host.machine import ReceiverMachine
-from repro.mq.machine import MqReceiverMachine
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -115,95 +114,143 @@ def test_kernel_send_without_route_raises(sim):
 
 
 # ---------------------------------------------------------------- kernel timers
-def test_kernel_timer_runs_as_cpu_task(sim):
-    cpu = Cpu(sim, freq_hz=1e9)
-    timers = KernelTimers(sim, cpu)
-    fired = []
-    # Occupy the CPU so the timer callback is delayed behind packet work.
-    cpu.submit(lambda: cpu.consume(5000, "misc"))
-    timers.schedule(1e-6, lambda: fired.append(sim.now))
-    sim.run(until=1e-3)
-    assert fired and fired[0] == pytest.approx(5e-6)
+def on_each_timer_kernel(case):
+    """Run ``case(sim, kernel)`` on a 1-CPU and on a 2-CPU kernel (fresh
+    simulator each).  The 2-CPU kernel arms from CPU 1, so a timer that
+    fired on CPU 0 would miss the busy-CPU delays the cases set up."""
+    for n_cpus in (1, 2):
+        sim = Simulator()
+        cpus = [Cpu(sim, freq_hz=1e9, name=f"k-cpu{i}") for i in range(n_cpus)]
+        kernel = Kernel(sim, cpus, fast_config(), OptimizationConfig.baseline())
+        kernel.enter_cpu(n_cpus - 1)
+        case(sim, kernel)
 
 
-def test_kernel_timer_cancel_before_fire(sim):
-    cpu = Cpu(sim)
-    timers = KernelTimers(sim, cpu)
-    fired = []
-    handle = timers.schedule(1e-3, lambda: fired.append(1))
-    handle.cancel()
-    sim.run(until=0.01)
-    assert not fired
+def test_kernel_timer_runs_as_cpu_task():
+    def case(sim, kernel):
+        cpu, timers = kernel.cpu, kernel.timers
+        fired = []
+        # Occupy the CPU so the timer callback is delayed behind packet work.
+        cpu.submit(lambda: cpu.consume(5000, "misc"))
+        timers.schedule(1e-6, lambda: fired.append(sim.now))
+        sim.run(until=1e-3)
+        assert fired and fired[0] == pytest.approx(5e-6)
+
+    on_each_timer_kernel(case)
 
 
-def test_kernel_timer_cancel_between_fire_and_run(sim):
+def test_kernel_timer_cancel_before_fire():
+    def case(sim, kernel):
+        fired = []
+        handle = kernel.timers.schedule(1e-3, lambda: fired.append(1))
+        handle.cancel()
+        sim.run(until=0.01)
+        assert not fired
+
+    on_each_timer_kernel(case)
+
+
+def test_kernel_timer_cancel_between_fire_and_run():
     """Cancelling after the sim event fired but before the CPU task ran
     must still suppress the callback."""
-    cpu = Cpu(sim, freq_hz=1e9)
-    timers = KernelTimers(sim, cpu)
-    fired = []
-    cpu.submit(lambda: cpu.consume(10000, "misc"))  # cpu busy 10 us
-    handle = timers.schedule(1e-6, lambda: fired.append(1))
-    sim.schedule(2e-6, handle.cancel)  # after fire, before task start
-    sim.run(until=0.01)
-    assert not fired
+
+    def case(sim, kernel):
+        cpu, timers = kernel.cpu, kernel.timers
+        fired = []
+        cpu.submit(lambda: cpu.consume(10000, "misc"))  # cpu busy 10 us
+        handle = timers.schedule(1e-6, lambda: fired.append(1))
+        sim.schedule(2e-6, handle.cancel)  # after fire, before task start
+        sim.run(until=0.01)
+        assert not fired
+
+    on_each_timer_kernel(case)
 
 
-def test_kernel_timer_restart_pending_moves_in_place(sim):
-    cpu = Cpu(sim, freq_hz=1e9)
-    timers = KernelTimers(sim, cpu)
-    fired = []
-    handle = timers.schedule(1e-3, lambda: fired.append(sim.now))
-    assert timers.restart(handle, 2e-3) is handle
-    sim.run(until=0.01)
-    assert fired == [pytest.approx(2e-3)]
+def test_kernel_timer_restart_pending_moves_in_place():
+    def case(sim, kernel):
+        timers = kernel.timers
+        fired = []
+        handle = timers.schedule(1e-3, lambda: fired.append(sim.now))
+        assert timers.restart(handle, 2e-3) is handle
+        sim.run(until=0.01)
+        assert fired == [pytest.approx(2e-3)]
+
+    on_each_timer_kernel(case)
 
 
-def test_kernel_timer_restart_after_fire_while_task_queued(sim):
+def test_kernel_timer_restart_after_fire_while_task_queued():
     """The event fired but its CPU task still waits behind packet work:
     restart must cancel that task and arm a new timer, not resurrect the
     old handle (which would run the callback twice)."""
-    cpu = Cpu(sim, freq_hz=1e9)
-    timers = KernelTimers(sim, cpu)
-    fired = []
-    cpu.submit(lambda: cpu.consume(10000, "misc"))  # cpu busy 10 us
-    handle = timers.schedule(1e-6, lambda: fired.append(sim.now))
-    restarted = []
-    sim.schedule(2e-6, lambda: restarted.append(timers.restart(handle, 1e-3)))
-    sim.run(until=0.01)
-    new = restarted[0]
-    assert new is not handle and handle.cancelled and not new.cancelled
-    assert fired == [pytest.approx(2e-6 + 1e-3)]
+
+    def case(sim, kernel):
+        cpu, timers = kernel.cpu, kernel.timers
+        fired = []
+        cpu.submit(lambda: cpu.consume(10000, "misc"))  # cpu busy 10 us
+        handle = timers.schedule(1e-6, lambda: fired.append(sim.now))
+        restarted = []
+        sim.schedule(2e-6, lambda: restarted.append(timers.restart(handle, 1e-3)))
+        sim.run(until=0.01)
+        new = restarted[0]
+        assert new is not handle and handle.cancelled and not new.cancelled
+        assert fired == [pytest.approx(2e-6 + 1e-3)]
+
+    on_each_timer_kernel(case)
 
 
-def test_kernel_timer_restart_cancelled_arms_new_handle(sim):
-    cpu = Cpu(sim)
-    timers = KernelTimers(sim, cpu)
-    fired = []
-    handle = timers.schedule(1e-3, lambda: fired.append(sim.now))
-    handle.cancel()
-    new = timers.restart(handle, 2e-3)
-    assert new is not handle
-    sim.run(until=0.01)
-    assert fired == [pytest.approx(2e-3)]
+def test_kernel_timer_restart_cancelled_arms_new_handle():
+    def case(sim, kernel):
+        timers = kernel.timers
+        fired = []
+        handle = timers.schedule(1e-3, lambda: fired.append(sim.now))
+        handle.cancel()
+        new = timers.restart(handle, 2e-3)
+        assert new is not handle
+        sim.run(until=0.01)
+        assert fired == [pytest.approx(2e-3)]
+
+    on_each_timer_kernel(case)
 
 
-def test_mq_kernel_timer_restart_fires_on_rearming_cpu(sim):
+def test_kernel_timer_runs_on_arming_cpu_and_restores():
+    """The callback runs with the arming CPU current and charges it; the
+    kernel's current CPU is restored afterwards."""
+
+    def case(sim, kernel):
+        armed_on = kernel._current_idx
+        ran_on = []
+
+        def callback():
+            ran_on.append(kernel._current_idx)
+            kernel.cpu.consume(100, "misc")
+
+        kernel.timers.schedule(1e-6, callback)
+        kernel.enter_cpu(0)
+        sim.run(until=1e-3)
+        assert ran_on == [armed_on]
+        assert kernel.cpus[armed_on].busy_cycles == 100
+        assert kernel._current_idx == 0 and kernel.cpu is kernel.cpus[0]
+
+    on_each_timer_kernel(case)
+
+
+def test_kernel_timer_restart_moves_to_rearming_cpu():
     """Like cancel + schedule, an in-place restart moves the timer to the
     CPU that re-arms it."""
-    machine = MqReceiverMachine(
-        sim, fast_config(n_nics=1), OptimizationConfig.baseline(), queues=2, ip=SERVER
-    )
-    kernel = machine.kernel
-    timers = kernel.timers
-    ran_on = []
-    prev = kernel.enter_cpu(0)
-    handle = timers.schedule(1e-3, lambda: ran_on.append(kernel._current_idx))
-    kernel.enter_cpu(1)
-    assert timers.restart(handle, 2e-3) is handle
-    kernel._current_idx = prev
-    sim.run(until=0.01)
-    assert ran_on == [1]
+
+    def case(sim, kernel):
+        timers = kernel.timers
+        last = len(kernel.cpus) - 1
+        ran_on = []
+        prev = kernel.enter_cpu(0)
+        handle = timers.schedule(1e-3, lambda: ran_on.append(kernel._current_idx))
+        kernel.enter_cpu(last)
+        assert timers.restart(handle, 2e-3) is handle
+        kernel.enter_cpu(prev)
+        sim.run(until=0.01)
+        assert ran_on == [last]
+
+    on_each_timer_kernel(case)
 
 
 def test_tcp_overrides_applied_to_accepted_connections(sim):

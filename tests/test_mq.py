@@ -13,7 +13,7 @@ from repro.core.config import OptimizationConfig
 from repro.host.client import ClientHost
 from repro.host.configs import linux_smp_config
 from repro.mq.machine import MqReceiverMachine
-from repro.mq.workload import run_mq_stream_experiment
+from repro.workloads.stream import run_stream_experiment
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
@@ -103,10 +103,10 @@ def test_sockets_are_pinned_round_robin():
 
 
 def test_mq_run_is_deterministic():
-    a = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                 queues=4, n_connections=50, duration=0.02, warmup=0.01)
-    b = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                 queues=4, n_connections=50, duration=0.02, warmup=0.01)
+    a = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                              queues=4, n_connections=50, duration=0.02, warmup=0.01)
+    b = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                              queues=4, n_connections=50, duration=0.02, warmup=0.01)
     assert a.throughput_mbps == b.throughput_mbps  # bit-identical
     assert a.breakdown == b.breakdown
 
@@ -114,27 +114,25 @@ def test_mq_run_is_deterministic():
 def test_baseline_throughput_scales_with_queues_when_cpu_bound():
     """At 200 connections the single-path baseline is CPU-bound; adding
     receive queues must increase aggregate throughput monotonically."""
-    from repro.workloads.stream import run_stream_experiment
-
     single = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
                                    n_connections=200, duration=0.03, warmup=0.02)
     results = [single.throughput_mbps]
     for q in (2, 4):
-        r = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                     queues=q, n_connections=200,
-                                     duration=0.03, warmup=0.02)
+        r = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                                  queues=q, n_connections=200,
+                                  duration=0.03, warmup=0.02)
         results.append(r.throughput_mbps)
     assert results[0] < results[1] < results[2], results
     assert single.cpu_utilization == pytest.approx(1.0)
 
 
 def test_arfs_eliminates_cross_cpu_costs():
-    rss = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                   queues=4, steering="rss",
-                                   n_connections=40, duration=0.02, warmup=0.01)
-    arfs = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                    queues=4, steering="arfs",
-                                    n_connections=40, duration=0.02, warmup=0.01)
+    rss = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                                queues=4, steering="rss",
+                                n_connections=40, duration=0.02, warmup=0.01)
+    arfs = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                                 queues=4, steering="arfs",
+                                 n_connections=40, duration=0.02, warmup=0.01)
     assert rss.breakdown.get("xcpu", 0.0) > 0.0
     assert arfs.breakdown.get("xcpu", 0.0) == 0.0
 
@@ -160,9 +158,9 @@ def test_sanitizer_audits_mq_rig():
 
     handle = install()
     try:
-        r = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.optimized(),
-                                     queues=4, steering="arfs",
-                                     n_connections=16, duration=0.02, warmup=0.01)
+        r = run_stream_experiment(linux_smp_config(), OptimizationConfig.optimized(),
+                                  queues=4, steering="arfs",
+                                  n_connections=16, duration=0.02, warmup=0.01)
         assert r.throughput_mbps > 0
         sanitizer = handle.sanitizers[-1]
         assert sanitizer.stats.deep_audits > 0
@@ -270,3 +268,55 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
     finally:
         racecheck.uninstall(handle)
         obs.reset()
+
+
+#: Quick-window multi-queue points pinned as literals taken from the
+#: separate multi-queue kernel and runner this code replaced:
+#: (queues, steering, opt) -> (events_fired, throughput_mbps, cpu_utilization).
+#: A refactor of the shared kernel must reproduce them bit for bit.
+MQ_QUICK_PINS = {
+    (2, "rss", "baseline"): (84931, 4707.27424, 0.7340592518667879),
+    (2, "rss", "optimized"): (84972, 4707.7376, 0.41300885333331444),
+    (2, "arfs", "baseline"): (84931, 4707.27424, 0.7340592518667879),
+    (2, "arfs", "optimized"): (84972, 4707.7376, 0.41300885333331444),
+    (4, "rss", "baseline"): (84927, 4707.7376, 0.3852947573333939),
+    (4, "rss", "optimized"): (84967, 4707.7376, 0.2110548266666602),
+    (4, "arfs", "baseline"): (84782, 4707.7376, 0.3670643573333532),
+    (4, "arfs", "optimized"): (84804, 4707.27424, 0.20646171466666588),
+}
+
+
+@pytest.mark.parametrize("point", sorted(MQ_QUICK_PINS), ids=lambda p: f"q{p[0]}-{p[1]}-{p[2]}")
+def test_mq_quick_point_matches_pinned_literals(point):
+    from repro.experiments.base import QUICK_DURATION, QUICK_WARMUP
+
+    queues, steering, opt_name = point
+    r = run_stream_experiment(
+        linux_smp_config(), getattr(OptimizationConfig, opt_name)(),
+        queues=queues, steering=steering,
+        duration=QUICK_DURATION, warmup=QUICK_WARMUP,
+    )
+    assert r.system == f"Linux SMP/mq{queues}-{steering}"
+    assert (r.events_fired, r.throughput_mbps, r.cpu_utilization) == MQ_QUICK_PINS[point]
+
+
+def test_mq_zero_copy_numa_point_matches_pinned_literals():
+    """The mq4 zero-copy rig of extension_zero_copy (2 NUMA nodes, 4 MiB
+    working set, 0.8 GHz): pinned like the points above."""
+    import dataclasses
+
+    from repro.experiments.base import QUICK_DURATION, QUICK_WARMUP
+    from repro.experiments.extension_zero_copy import MQ4_CPU_FREQ_HZ
+    from repro.mem.hierarchy import MemConfig
+
+    cfg = dataclasses.replace(
+        linux_smp_config(), cpu_freq_hz=MQ4_CPU_FREQ_HZ,
+        mem=MemConfig(nodes=2, app_working_set_bytes=4 << 20),
+    )
+    r = run_stream_experiment(
+        cfg, OptimizationConfig.zcrx(), queues=4, steering="rss",
+        duration=QUICK_DURATION, warmup=QUICK_WARMUP,
+    )
+    assert (r.events_fired, r.throughput_mbps, r.cpu_utilization) == (
+        64311, 3444.61824, 0.642151118749997,
+    )

@@ -94,11 +94,11 @@ def test_ledger_reconciles_exactly_on_every_machine_type(config_fn, opt):
 
 
 def test_ledger_reconciles_on_mq4_rig():
-    from repro.mq.workload import build_mq_stream_rig
+    from repro.workloads.stream import build_stream_rig
 
     obs.configure(ledger=True)
     with obs_runtime.observe("mq4") as o:
-        sim, machine, _clients, _senders = build_mq_stream_rig(
+        sim, machine, _clients, _senders = build_stream_rig(
             linux_smp_config(), OptimizationConfig.optimized(), queues=4
         )
         bind_ledger(o, 0.025, {5001: "stream"})

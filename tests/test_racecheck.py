@@ -22,7 +22,6 @@ from repro.host.client import ClientHost
 from repro.host.configs import linux_smp_config, linux_up_config
 from repro.mq.costs import CrossCpuCostModel
 from repro.mq.machine import MqReceiverMachine
-from repro.mq.workload import run_mq_stream_experiment
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.tcp.connection import TcpConfig
@@ -241,7 +240,7 @@ def _run_mq(**overrides):
         queues=4, steering="rss", n_connections=50, duration=0.02, warmup=0.01
     )
     kwargs.update(overrides)
-    result = run_mq_stream_experiment(
+    result = run_stream_experiment(
         linux_smp_config(), OptimizationConfig.optimized(), **kwargs
     )
     return (

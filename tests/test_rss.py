@@ -146,8 +146,10 @@ def test_make_policy():
 
 
 def test_queues1_reproduces_figure12_quick_rows():
-    """The q=1 column of the RSS scaling sweep IS the Figure 12 rig:
-    identical code path, hence bit-identical numbers."""
+    """The q=1 column of the RSS scaling sweep runs the Figure 12 rig
+    itself — the classic ReceiverMachine, not MqReceiverMachine(queues=1),
+    whose lock model and per-NIC aggregation engines differ — hence
+    bit-identical numbers."""
     from repro.experiments import extension_rss_scaling, figure12_scalability
     from repro.experiments.base import QUICK_DURATION, QUICK_WARMUP
 

@@ -82,6 +82,7 @@ class FakeKernel:
 class FakeMachine:
     def __init__(self):
         self.kernel = FakeKernel()
+        self.cpus = []
         self.clients = []
         self.drivers = []
         self.nics = []

@@ -227,8 +227,18 @@ class TestCrossCpuWrite:
                     self.app_cpu_index = None
         """)
 
+    def test_host_kernel_patrolled(self):
+        # The N-CPU kernel's context roots (softirq ports, app drain,
+        # timers) live in host/kernel.py: the rule patrols host/ too.
+        fired, violations = program_fired(
+            CROSS_CPU_BAD, relname="src/repro/host/kernel_fixture.py"
+        )
+        assert "cross-cpu-write" in fired
+        [v] = [v for v in violations if v.rule == "cross-cpu-write"]
+        assert "sock.bytes_ready" in v.message
+
     def test_outside_mq_exempt(self):
-        # Same shape, but not under mq/: the rule only patrols mq/.
+        # Same shape, but outside mq/ and host/: the rule patrols only those.
         assert_clean(
             "cross-cpu-write",
             CROSS_CPU_BAD,
