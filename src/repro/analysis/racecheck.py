@@ -1,4 +1,4 @@
-"""Cross-CPU ownership race detector ("simtsan") for the multi-queue rig.
+"""Cross-CPU ownership race detector ("simtsan") for the receiver machine.
 
 The multi-queue model's credibility rests on every cross-CPU touch being
 *paid for*: when softirq processing on CPU *i* reaches into state owned by
@@ -13,7 +13,7 @@ dynamic half, in the style of a thread sanitizer:
   by the CPU its MSI-X vector targets, each per-queue aggregation engine
   and softirq port by its queue's CPU, and each accepted socket by the
   ``app_cpu_index`` it is pinned to at accept time
-  (:meth:`~repro.mq.machine.MqReceiverMachine.ownership_map` prints the
+  (:meth:`~repro.host.machine.ReceiverMachine.ownership_map` prints the
   static part of this table).
 * **Accesses** are noted at the product seams — demux touching a socket,
   the application drain reading it, a driver ISR draining a ring, a
@@ -35,7 +35,7 @@ on the Figure 7 and multi-queue workloads).
 Usage::
 
     from repro.analysis.racecheck import install, uninstall
-    handle = install()          # every Simulator/MqReceiverMachine from now on
+    handle = install()          # every Simulator/ReceiverMachine from now on
     ...                         # run experiments
     uninstall(handle)
 
@@ -148,7 +148,7 @@ class RaceChecker:
         self.sim.remove_after_event_hook(self._after_event)
 
     def watch_machine(self, machine) -> None:
-        """Track a multi-queue machine: map its CPUs, observe their XCPU
+        """Track a receiver machine: map its CPUs, observe their XCPU
         charges, tag its per-queue state, and catch components built by
         later ``add_client`` calls."""
         if machine in self.machines:
@@ -157,9 +157,7 @@ class RaceChecker:
         for index, cpu in enumerate(machine.cpus):
             self._cpu_index[id(cpu)] = index
             self._observe_cpu(cpu, index)
-        kernel = getattr(machine, "kernel", None)
-        if kernel is not None and hasattr(kernel, "_rc"):
-            kernel._rc = self
+        machine.kernel._rc = self
         self._sync_components(machine)
 
         original = machine.add_client
@@ -174,17 +172,14 @@ class RaceChecker:
 
     def _sync_components(self, machine) -> None:
         """Point every per-queue component at this checker and tag it."""
-        for entry in machine.drivers:
-            drivers = entry if isinstance(entry, (list, tuple)) else (entry,)
-            for driver in drivers:
-                driver._rc = self
-                owner = getattr(driver.queue, "owner_cpu", None)
-                if owner is not None and id(driver.queue) not in self._tags:
-                    self.tag(driver.queue, owner, f"{driver.nic.name}.q{driver.queue.index} ring")
-        for aggregator in getattr(machine.kernel, "aggregators", ()):
-            owner = self._cpu_index.get(id(aggregator.cpu))
-            if owner is not None and id(aggregator) not in self._tags:
-                self.tag(aggregator, owner, aggregator.name)
+        for driver in machine.drivers:
+            driver._rc = self
+            queue = driver.queue
+            if id(queue) not in self._tags:
+                self.tag(queue, queue.owner_cpu, f"{driver.nic.name}.q{queue.index} ring")
+        for aggregator in machine.kernel.aggregators:
+            if id(aggregator) not in self._tags:
+                self.tag(aggregator, self._cpu_index[id(aggregator.cpu)], aggregator.name)
 
     def _observe_cpu(self, cpu, index: int) -> None:
         """Record the event serial of every XCPU charge on this CPU.
@@ -354,18 +349,18 @@ class _InstallHandle(PatchHandle):
 
 
 def _machine_classes():
-    """Machines with per-CPU receive paths — the only ones with cross-CPU
-    ownership to check."""
-    from repro.mq.machine import MqReceiverMachine
+    """Machines with per-CPU receive paths.  A one-queue rig has a single
+    CPU, so every access it notes is local; it is watched all the same."""
+    from repro.host.machine import ReceiverMachine
 
-    return (MqReceiverMachine,)
+    return (ReceiverMachine,)
 
 
 _installer: Installer[_InstallHandle] = Installer(_InstallHandle, _machine_classes)
 
 
 def install() -> _InstallHandle:
-    """Race-check every Simulator and multi-queue machine created from now
+    """Race-check every Simulator and receiver machine created from now
     on.  Idempotent: a second call returns the active handle."""
     return _installer.install(RaceChecker)
 

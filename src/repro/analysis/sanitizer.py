@@ -135,32 +135,10 @@ class SimSanitizer:
         for client in machine.clients:
             for conn in client.connections.values():
                 self._check_connection(conn)
-        for aggregator in self._machine_aggregators(machine):
+        for aggregator in machine.kernel.aggregators:
             self._wrap_aggregator(aggregator)
         for driver in machine.drivers:
-            # Multi-queue machines keep one driver list per NIC.
-            if isinstance(driver, (list, tuple)):
-                for d in driver:
-                    self._wrap_driver(d)
-            else:
-                self._wrap_driver(driver)
-
-    @staticmethod
-    def _machine_aggregators(machine) -> List[object]:
-        """Every aggregation engine a machine runs: the native kernel hangs
-        one off the kernel, the Xen rig runs one in the driver domain, and
-        the multi-queue kernel keeps one per receive queue."""
-        engines = []
-        aggregator = getattr(machine.kernel, "aggregator", None)
-        if aggregator is not None:
-            engines.append(aggregator)
-        engines.extend(getattr(machine.kernel, "aggregators", ()))
-        dd_aggregator = getattr(
-            getattr(machine, "driver_domain", None), "aggregator", None
-        )
-        if dd_aggregator is not None:
-            engines.append(dd_aggregator)
-        return engines
+            self._wrap_driver(driver)
 
     # ------------------------------------------------------------------
     # connection invariants
@@ -333,13 +311,13 @@ class SimSanitizer:
             for nic in machine.nics:
                 self._audit_ring(nic)
                 self._audit_flow_steering(nic)
-            for aggregator in self._machine_aggregators(machine):
+            for aggregator in machine.kernel.aggregators:
                 self._audit_aggregator(aggregator)
             for link in getattr(machine, "links", ()):
                 self._audit_link(link)
-            for driver in self._machine_drivers(machine):
+            for driver in machine.drivers:
                 self._audit_driver_conservation(driver)
-            for governor in self._machine_governors(machine):
+            for governor in machine.governors:
                 self._audit_governor(governor)
             for repair in getattr(machine, "repairs", ()):
                 self._audit_repair(repair)
@@ -365,25 +343,6 @@ class SimSanitizer:
                     f"cycle ledger out of reconciliation on {cpu.name}: "
                     + "; ".join(problems)
                 )
-
-    @staticmethod
-    def _machine_drivers(machine) -> List[object]:
-        flat = []
-        for entry in machine.drivers:
-            if isinstance(entry, (list, tuple)):
-                flat.extend(entry)
-            else:
-                flat.append(entry)
-        return flat
-
-    @staticmethod
-    def _machine_governors(machine) -> List[object]:
-        found = []
-        governor = getattr(machine, "governor", None)
-        if governor is not None:
-            found.append(governor)
-        found.extend(getattr(machine, "governors", ()))
-        return found
 
     def _audit_link(self, link) -> None:
         """Wire-frame conservation under combined impairments: every frame
@@ -719,15 +678,13 @@ class _InstallHandle(PatchHandle):
 def _machine_classes():
     """Every machine class the sanitizer knows how to watch.
 
-    XenReceiverMachine and MqReceiverMachine duck-type ReceiverMachine
-    (kernel / nics / drivers / clients) rather than subclassing it, so all
-    three are patched explicitly.
+    XenReceiverMachine duck-types ReceiverMachine (kernel / nics / drivers
+    / governors / clients) rather than subclassing it, so both are patched.
     """
     from repro.host.machine import ReceiverMachine
-    from repro.mq.machine import MqReceiverMachine
     from repro.xen.machine import XenReceiverMachine
 
-    return (ReceiverMachine, XenReceiverMachine, MqReceiverMachine)
+    return (ReceiverMachine, XenReceiverMachine)
 
 
 _installer: Installer[_InstallHandle] = Installer(_InstallHandle, _machine_classes)

@@ -46,10 +46,10 @@ def measure_stream_speed(
     opt: OptimizationConfig,
     duration: float,
     warmup: float,
-    queues: Optional[int] = None,
+    queues: int = 1,
 ) -> Dict[str, float]:
-    """Time one streaming simulation (on the multi-queue rig when
-    ``queues`` is given); report wall seconds, events, packets."""
+    """Time one streaming simulation on a ``queues``-queue rig; report wall
+    seconds, events, packets."""
     t0 = time.perf_counter()
     result = run_stream_experiment(
         config, opt, duration=duration, warmup=warmup, queues=queues

@@ -14,10 +14,9 @@ Expectations (the model's, not the paper's):
 * static RSS pays a growing ``xcpu`` toll (cache-line bouncing + cross-CPU
   wakeups, since the hash ignores where the consumer runs) that aRFS-style
   steering eliminates;
-* ``queues=1`` rows run the single-path rig of Figure 12 itself (the
-  classic machine, not a one-queue multi-queue machine, whose lock model
-  and per-NIC aggregation engines differ) and match Figure 12
-  bit-for-bit.
+* ``queues=1`` rows run the single-path rig of Figure 12 itself (one
+  receive queue is the paper's rig: its lock model and one shared
+  aggregation engine) and match Figure 12 bit-for-bit.
 """
 
 from __future__ import annotations
@@ -46,41 +45,22 @@ def _measure_point(point: Tuple[int, int, float, float]) -> Dict[str, float]:
 
     Module-level and returning a plain dict so it is picklable for the
     :mod:`repro.parallel` process pool; each simulation is fully isolated.
-    ``queues == 1`` runs the classic single-path rig (same rig as Figure
-    12, hence bit-identical rows); multi-queue points run the
-    baseline and optimized stacks under static RSS plus the baseline stack
-    under aRFS-style flow steering.
+    Every point runs the baseline and optimized stacks under static RSS
+    plus the baseline stack under aRFS-style flow steering; ``queues == 1``
+    is the Figure 12 rig, hence bit-identical rows.
     """
     q, n, duration, warmup = point
-    if q == 1:
-        base = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.baseline(),
+
+    def measure(opt: OptimizationConfig, steering: str):
+        return run_stream_experiment(
+            linux_smp_config(), opt, queues=q, steering=steering,
             n_connections=n, duration=duration, warmup=warmup,
         )
-        opt = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.optimized(),
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        arfs_mbps = base.throughput_mbps  # one queue: nothing to steer
-        xcpu = 0.0
-    else:
-        base = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.baseline(),
-            queues=q, steering="rss",
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        opt = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.optimized(),
-            queues=q, steering="rss",
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        arfs = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.baseline(),
-            queues=q, steering="arfs",
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        arfs_mbps = arfs.throughput_mbps
-        xcpu = base.breakdown.get("xcpu", 0.0)
+
+    base = measure(OptimizationConfig.baseline(), "rss")
+    opt = measure(OptimizationConfig.optimized(), "rss")
+    # One queue has nothing to steer: the baseline run is the aRFS run.
+    arfs = base if q == 1 else measure(OptimizationConfig.baseline(), "arfs")
     return {
         "queues": q,
         "connections": n,
@@ -88,8 +68,8 @@ def _measure_point(point: Tuple[int, int, float, float]) -> Dict[str, float]:
         "Optimized Mb/s": opt.throughput_mbps,
         "gain %": 100 * (opt.throughput_mbps / base.throughput_mbps - 1),
         "aggregation degree": opt.aggregation_degree,
-        "aRFS Mb/s": arfs_mbps,
-        "xcpu cyc/pkt": xcpu,
+        "aRFS Mb/s": arfs.throughput_mbps,
+        "xcpu cyc/pkt": base.breakdown.get("xcpu", 0.0),
     }
 
 

@@ -79,7 +79,7 @@ class FaultInjector:
             return
         self._armed = True
         if any(spec.kind == "nic_hang" for spec in self.plan.specs):
-            for driver in self._drivers():
+            for driver in self.machine.drivers:
                 driver.start_watchdog()
         for index, spec in enumerate(self.plan.specs):
             self.sim.at(spec.start, self._begin, index, spec)
@@ -94,22 +94,6 @@ class FaultInjector:
 
     def _nics(self, spec: FaultSpec) -> List[Any]:
         return [nic for i, nic in enumerate(self.machine.nics) if spec.hits(i)]
-
-    def _drivers(self) -> List[Any]:
-        flat: List[Any] = []
-        for entry in self.machine.drivers:
-            if isinstance(entry, (list, tuple)):
-                flat.extend(entry)
-            else:
-                flat.append(entry)
-        return flat
-
-    def _pools(self) -> List[Any]:
-        """Every sk_buff pool on the machine (the Xen rig has two)."""
-        machine = self.machine
-        if hasattr(machine, "pool"):
-            return [machine.pool]
-        return [machine.dd_pool, machine.guest_pool]
 
     def _rng(self, index: int, spec: FaultSpec, sublabel: str = "") -> SeededRng:
         label = f"fault.{index}.{spec.kind}"
@@ -228,7 +212,7 @@ class FaultInjector:
 
     # ---- pool_exhaust ------------------------------------------------
     def _begin_pool_exhaust(self, index: int, spec: FaultSpec, detail: Dict[str, float]) -> None:
-        for pi, pool in enumerate(self._pools()):
+        for pi, pool in enumerate(self.machine.pools):
             self._saved[(index, "pool", pi)] = pool.capacity
             capacity = int(spec.params.get(
                 "capacity", max(4, int((1.0 - spec.intensity) * 256))
@@ -240,7 +224,7 @@ class FaultInjector:
             detail["capacity"] = capacity
 
     def _end_pool_exhaust(self, index: int, spec: FaultSpec) -> None:
-        for pi, pool in enumerate(self._pools()):
+        for pi, pool in enumerate(self.machine.pools):
             pool.capacity = self._saved.pop((index, "pool", pi))
 
     # ---- link_flap ---------------------------------------------------

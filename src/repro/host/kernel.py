@@ -10,10 +10,10 @@ The kernel also implements the transport interface of
 Offload plugs in: a batch of consecutive ACKs becomes a single template-ACK
 sk_buff (§4) when the optimization is enabled.
 
-One kernel serves every rig.  It runs over a list of CPUs — one for the
-classic and Xen hosts, one per receive queue for the multi-queue host —
-and tracks which of them is executing (``cpu`` / ``_current_idx``, set
-only by :meth:`Kernel.enter_cpu`).  Execution contexts pick their CPU:
+One kernel serves every rig.  It runs over a list of CPUs — one per
+receive queue of the native host, one for the Xen host — and tracks
+which of them is executing (``cpu`` / ``_current_idx``, set only by
+:meth:`Kernel.enter_cpu`).  Execution contexts pick their CPU:
 
 * **Softirq** — each driver holds a :class:`SoftirqPort` bound to its
   queue's CPU; the port enters that CPU around the softirq body.
@@ -41,6 +41,7 @@ from repro.cpu.categories import Category
 from repro.cpu.cpu import Cpu
 from repro.host.configs import OptimizationConfig, SystemConfig
 from repro.mem.zerocopy import ZcrxStats, zcrx_item_cycles
+from repro.mq.costs import CrossCpuCostModel
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.obs.ledger import UNATTRIBUTED
@@ -116,8 +117,8 @@ class SoftirqPort:
 
     Each driver gets one of these as its ``kernel``: it enters the queue's
     CPU for the duration of the softirq and holds the aggregation engine
-    the queue feeds — the rig's one shared engine on the classic host, the
-    queue's own (per-CPU, lock-free — §3.5) engine on the multi-queue host.
+    the queue feeds — the rig's one shared engine with one receive queue,
+    the queue's own (per-CPU, lock-free — §3.5) engine with several.
     """
 
     def __init__(self, kernel: "Kernel", cpu_index: int, aggregator=None):
@@ -236,12 +237,7 @@ class Kernel:
         #: Flow-steering policy told where each accepted socket's consumer
         #: runs (None: no steering to program).
         self.steering = steering
-        if cross is None:
-            # Imported here: repro.mq's package import builds on this module.
-            from repro.mq.costs import CrossCpuCostModel
-
-            cross = CrossCpuCostModel()
-        self.cross = cross
+        self.cross = cross if cross is not None else CrossCpuCostModel()
         self._next_app_cpu = 0
         #: Race checker seam (None unless --racecheck): same idiom as the
         #: tracer's ``_tr`` — one attribute load on the charged paths.
@@ -260,10 +256,9 @@ class Kernel:
         #: connection's template so ACK transmission recycles dead packets.
         self.packet_slab = None
 
-        #: The rig's one shared aggregation engine (classic host; set by
-        #: the machine when aggregation is on) ...
-        self.aggregator = None
-        #: ... or one engine per receive queue (multi-queue host).
+        #: Every aggregation engine of the rig, registered by the machine:
+        #: one shared engine with one receive queue, one per NIC queue with
+        #: several, the driver domain's on the Xen rig.
         self.aggregators: list = []
         #: Memory hierarchy + NUMA topology (None unless ``config.mem`` is
         #: set; wired by the machine).  With both None every charge goes

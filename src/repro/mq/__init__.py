@@ -12,22 +12,20 @@ Modules
 ``costs``     Mechanistic cross-CPU costs + residual SMP lock model.
 ``kernel``    The machine's kernel: the costed kernel of
               :mod:`repro.host.kernel`, which runs natively over N CPUs.
-``machine``   N-CPU receiver machine with per-queue drivers and per-CPU
-              aggregation engines.
+``machine``   The historical name of :class:`repro.host.machine.ReceiverMachine`,
+              which builds one receive path per queue.
 
-The streaming benchmark runs on this machine through
-:func:`repro.workloads.stream.run_stream_experiment` with ``queues`` set.
+The streaming benchmark runs the multi-queue host through
+:func:`repro.workloads.stream.run_stream_experiment` with ``queues > 1``.
 """
 
 from repro.mq.costs import CrossCpuCostModel, mq_lock_model
-from repro.mq.machine import MqReceiverMachine
 from repro.mq.rss import RSS_DEFAULT_KEY, IndirectionTable, RssHasher, toeplitz_hash
 from repro.mq.steering import FlowSteering, StaticRssSteering, SteeringPolicy, make_policy
 
 __all__ = [
     "CrossCpuCostModel",
     "mq_lock_model",
-    "MqReceiverMachine",
     "RSS_DEFAULT_KEY",
     "IndirectionTable",
     "RssHasher",

@@ -4,8 +4,8 @@ The costed stack is :class:`repro.host.kernel.Kernel`, which runs natively
 over N CPUs: per-queue :class:`SoftirqPort` contexts, round-robin socket
 pinning with flow-steering feedback, timers that fire on their arming CPU,
 and :class:`~repro.mq.costs.CrossCpuCostModel` charges for cross-CPU
-bounces and wakeups.  :class:`MqKernel` is that kernel under the name the
-multi-queue machine builds, with nothing added.
+bounces and wakeups.  Every receiver machine builds that kernel;
+:class:`MqKernel` is a distinct, empty subclass kept for code that names it.
 """
 
 from __future__ import annotations
@@ -16,4 +16,4 @@ __all__ = ["MqKernel", "SoftirqPort"]
 
 
 class MqKernel(Kernel):
-    """The kernel of :class:`~repro.mq.machine.MqReceiverMachine`."""
+    """:class:`~repro.host.kernel.Kernel` under its multi-queue name."""

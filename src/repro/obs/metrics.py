@@ -228,11 +228,10 @@ class MetricsRegistry:
 def bind_machine(registry: MetricsRegistry, machine) -> None:
     """Register a receiver machine's scattered stat fields as callback gauges.
 
-    Works on every machine type (classic, Xen, multi-queue) by duck typing:
-    anything with ``nics`` gets per-NIC/per-queue ring and interrupt metrics;
-    drivers, aggregation engines, and TCP connections are picked up when
-    present.  Reading happens lazily at collection/sampling time, so binding
-    costs the hot path nothing.
+    Works on the native machine at any queue count and on the Xen machine,
+    which share one shape: ``nics``, a flat ``drivers`` list,
+    ``kernel.aggregators`` and ``governors``.  Reading happens lazily at
+    collection/sampling time, so binding costs the hot path nothing.
     """
     for nic in getattr(machine, "nics", ()):
         stats = nic.stats
@@ -261,15 +260,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
                 )
                 registry.gauge(f"{qbase}.lro.flushes", lambda e=queue.lro: e.flushes)
 
-    # Classic machines keep a flat driver list; the multi-queue machine
-    # keeps one list per NIC (one driver per queue).
-    flat_drivers = []
-    for entry in getattr(machine, "drivers", ()):
-        if isinstance(entry, (list, tuple)):
-            flat_drivers.extend(entry)
-        else:
-            flat_drivers.append(entry)
-    for driver in flat_drivers:
+    for driver in machine.drivers:
         stats = driver.stats
         base = f"driver.{driver.name}"
         registry.gauge(f"{base}.isr_runs", lambda s=stats: s.isr_runs)
@@ -285,7 +276,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge(f"{base}.watchdog_ticks", lambda s=stats: s.watchdog_ticks)
         registry.gauge(f"{base}.resets", lambda s=stats: s.resets)
 
-    for aggr in _aggregators_of(machine):
+    for aggr in machine.kernel.aggregators:
         stats = aggr.stats
         base = f"aggr.{aggr.name}"
         registry.gauge(f"{base}.packets_in", lambda s=stats: s.packets_in)
@@ -304,7 +295,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge(f"{base}.dropped_no_buffer", lambda s=stats: s.dropped_no_buffer)
         registry.gauge(f"{base}.packets_degraded", lambda s=stats: s.packets_degraded)
 
-    for governor in _governors_of(machine):
+    for governor in machine.governors:
         stats = governor.stats
         base = f"governor.{governor.name}"
         registry.gauge(f"{base}.degraded", lambda g=governor: int(g.degraded))
@@ -431,31 +422,3 @@ def bind_connections(registry: MetricsRegistry, connections: Iterable) -> None:
         registry.gauge(f"{base}.ssthresh", lambda c=conn: c.reno.ssthresh)
         registry.gauge(f"{base}.rcv_nxt", lambda c=conn: c.rcv_nxt)
         registry.gauge(f"{base}.retransmits", lambda c=conn: c.stats.retransmits)
-
-
-def _governors_of(machine) -> List[object]:
-    """Every degradation governor a machine owns (single or per-queue)."""
-    found = []
-    governor = getattr(machine, "governor", None)
-    if governor is not None:
-        found.append(governor)
-    found.extend(getattr(machine, "governors", ()))
-    return found
-
-
-def _aggregators_of(machine) -> List[object]:
-    """Every aggregation engine a machine owns, across machine flavors."""
-    found = []
-    kernel = getattr(machine, "kernel", None)
-    if kernel is not None:
-        aggr = getattr(kernel, "aggregator", None)
-        if aggr is not None:
-            found.append(aggr)
-        found.extend(getattr(kernel, "aggregators", ()))
-    dd = getattr(machine, "driver_domain", None)
-    if dd is not None and getattr(dd, "aggregator", None) is not None:
-        found.append(dd.aggregator)
-    for aggr in getattr(machine, "aggregators", ()):
-        if aggr not in found:
-            found.append(aggr)
-    return found

@@ -218,9 +218,7 @@ def bind_standard_probes(sampler: TimeSeriesSampler, machine, senders=()) -> Non
                 lambda r=queue.ring: len(r),
             )
 
-    from repro.obs.metrics import _aggregators_of
-
-    for aggr in _aggregators_of(machine):
+    for aggr in machine.kernel.aggregators:
         sampler.add_probe(
             f"aggr.{aggr.name}.queue_depth", lambda a=aggr: len(a.queue)
         )

@@ -9,11 +9,11 @@ the CPU-utilization and per-packet profile needed by the breakdown figures.
 Multi-connection variants (paper §5.3, Figure 12) distribute N connections
 round-robin over the NICs/clients.
 
-The same runner drives the multi-queue host
-(:class:`~repro.mq.machine.MqReceiverMachine`) when ``queues`` is given:
-busy cycles and the profile are summed over ``machine.cpus`` on every rig
-(the way the paper's SMP breakdowns sum both processors), and utilization
-is measured against that many CPUs' worth of capacity.
+The same runner drives every receive-queue count of
+:class:`~repro.host.machine.ReceiverMachine` (``queues``; 1 is the paper's
+rig): busy cycles and the profile are summed over ``machine.cpus`` on every
+rig (the way the paper's SMP breakdowns sum both processors), and
+utilization is measured against that many CPUs' worth of capacity.
 """
 
 from __future__ import annotations
@@ -41,18 +41,16 @@ if TYPE_CHECKING:
 SERVER_PORT = 5001
 
 
-def make_receiver(sim, config, opt, ip, queues=None, steering="rss"):
-    """Build the right machine type for ``config``: multi-queue when
-    ``queues`` is given, else Xen or native."""
-    if queues is not None:
-        from repro.mq.machine import MqReceiverMachine
-
-        return MqReceiverMachine(sim, config, opt, queues=queues, steering=steering, ip=ip)
+def make_receiver(sim, config, opt, ip, queues: int = 1, steering="rss"):
+    """Build the right machine type for ``config``: Xen (one queue only) or
+    native with ``queues`` receive queues."""
     if config.is_xen:
+        if queues != 1:
+            raise ValueError("the Xen rig has one receive queue")
         from repro.xen.machine import XenReceiverMachine
 
         return XenReceiverMachine(sim, config, opt, ip=ip)
-    return ReceiverMachine(sim, config, opt, ip=ip)
+    return ReceiverMachine(sim, config, opt, queues=queues, steering=steering, ip=ip)
 
 
 def build_stream_rig(
@@ -61,15 +59,15 @@ def build_stream_rig(
     n_connections: Optional[int] = None,
     impairments: Optional[ImpairmentConfig] = None,
     materialize: bool = False,
-    queues: Optional[int] = None,
+    queues: int = 1,
     steering: Union[str, "SteeringPolicy"] = "rss",
 ):
     """Assemble sim + server + clients + connections; returns them unstarted.
 
-    ``queues`` builds the multi-queue server with that many per-CPU receive
-    paths, flows picked by ``steering`` (``"rss"``, ``"arfs"`` or a policy
-    object); None builds the classic single-path (or Xen) server.  Client
-    addressing and connection order are the same for every server.
+    ``queues`` gives the server that many per-CPU receive paths, flows
+    picked by ``steering`` (``"rss"``, ``"arfs"`` or a policy object); 1 is
+    the paper's single-path (or Xen) server.  Client addressing and
+    connection order are the same for every server.
 
     ``impairments`` optionally applies steady-state wire impairments
     (drop/reorder/dup probabilities, per-link seeded RNG streams) and arms a
@@ -172,16 +170,16 @@ def run_stream_experiment(
     duration: float = 0.30,
     warmup: float = 0.15,
     impairments: Optional[ImpairmentConfig] = None,
-    queues: Optional[int] = None,
+    queues: int = 1,
     steering: Union[str, "SteeringPolicy"] = "rss",
 ) -> ThroughputResult:
     """Run the streaming benchmark and measure over [warmup, warmup+duration].
 
-    ``queues``/``steering`` select the multi-queue server (see
-    :func:`build_stream_rig`); its results are labelled
+    ``queues``/``steering`` pick the server's receive paths (see
+    :func:`build_stream_rig`); results with several queues are labelled
     ``<system>/mq<queues>-<steering>``.
     """
-    if queues is None:
+    if queues == 1:
         label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}"
     else:
         label = f"{config.name}/mq{queues}"
@@ -205,7 +203,7 @@ def _run_stream_observed(
     warmup: float,
     obs,
     impairments: Optional[ImpairmentConfig],
-    queues: Optional[int],
+    queues: int,
     steering,
 ) -> ThroughputResult:
     sim, machine, clients, senders = build_stream_rig(
@@ -234,7 +232,7 @@ def _run_stream_observed(
     n_pkts = max(1, delta.network_packets)
     stamp_ledger_measurement(obs, delta, bytes_rx)
 
-    if queues is None:
+    if queues == 1:
         system = config.name
     else:
         system = f"{config.name}/mq{queues}-{machine.steering.name}"

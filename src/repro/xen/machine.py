@@ -23,6 +23,7 @@ from repro.faults.degradation import CoalesceGovernor
 from repro.host.client import ClientHost
 from repro.host.configs import SystemConfig
 from repro.host.kernel import Kernel
+from repro.host.machine import cable_client
 from repro.net.addresses import ip_from_str
 from repro.nic.nic import Nic
 from repro.sim.engine import Simulator
@@ -80,6 +81,7 @@ class XenReceiverMachine:
 
         self.dd_pool = BufferPool(name=f"{name}-dom0-skb")
         self.guest_pool = BufferPool(name=f"{name}-guest-skb")
+        self.pools: List[BufferPool] = [self.dd_pool, self.guest_pool]
 
         # The guest kernel is the unmodified costed kernel, running on the
         # guest CPU view with its own buffer pool.
@@ -94,20 +96,23 @@ class XenReceiverMachine:
             name=f"{name}-dom0",
         )
         #: Graceful-degradation governor (aggregation runs in the driver
-        #: domain, so its governor lives there too).
-        self.governor: Optional[CoalesceGovernor] = None
+        #: domain, so its governor lives there too); empty or one.
+        self.governors: List[CoalesceGovernor] = []
         if opt.auto_degrade and opt.receive_aggregation:
-            self.governor = CoalesceGovernor(name=f"{name}-governor")
+            self.governors.append(CoalesceGovernor(name=f"{name}-governor"))
         if opt.receive_aggregation:
-            self.driver_domain.aggregator = AggregationEngine(
+            engine = AggregationEngine(
                 cpu=self.dd_cpu,
                 costs=config.costs,
                 opt=opt,
                 pool=self.dd_pool,
                 deliver=self.driver_domain.forward_rx,
-                governor=self.governor,
+                governor=self.governors[0] if self.governors else None,
                 name=f"{name}-aggr",
             )
+            self.driver_domain.aggregator = engine
+            # Registered with the guest kernel like every rig's engines.
+            self.kernel.aggregators.append(engine)
 
         self.nics: List[Nic] = []
         self.drivers: List[E1000Driver] = []
@@ -125,7 +130,10 @@ class XenReceiverMachine:
         reorder_prob: float = 0.0,
         dup_prob: float = 0.0,
         rng=None,
+        batch_window_s: float = 0.0,
     ) -> Nic:
+        """Attach a client via a dedicated NIC and a full-duplex link (see
+        :func:`~repro.host.machine.cable_client`)."""
         cfg = self.config
         index = len(self.nics)
         nic = Nic(
@@ -152,17 +160,10 @@ class XenReceiverMachine:
             physical_driver=driver,
             name=f"{self.name}-tx{index}",
         )
-        inbound = Link(
-            self.sim, cfg.nic_rate_bps, cfg.link_delay_s, sink=nic.rx_frame,
-            drop_prob=drop_prob, reorder_prob=reorder_prob, dup_prob=dup_prob,
-            rng=rng, name=f"{client.name}->{nic.name}",
+        inbound = cable_client(
+            self.sim, cfg, client, nic, drop_prob=drop_prob, reorder_prob=reorder_prob,
+            dup_prob=dup_prob, rng=rng, batch_window_s=batch_window_s,
         )
-        outbound = Link(
-            self.sim, cfg.nic_rate_bps, cfg.link_delay_s, sink=client.rx,
-            name=f"{nic.name}->{client.name}",
-        )
-        client.attach_tx(inbound)
-        nic.attach_tx(outbound)
         self.kernel.register_route(client.ip, [tx_path])
         self.nics.append(nic)
         self.drivers.append(driver)

@@ -178,6 +178,25 @@ def test_fault_kind_injects_restores_and_recovers(kind):
         assert link.in_flight >= 0
 
 
+def test_pool_exhaust_tightens_every_numa_pool():
+    """pool_exhaust starves every node-local sk_buff pool of a NUMA
+    multi-queue rig, not only node 0's, and restores them all."""
+    from repro.mem.hierarchy import MemConfig
+
+    plan = storm_plan("pool_exhaust", _INTENSITY["pool_exhaust"], start=0.01, duration=0.01)
+    sim, machine, _clients, _senders = build_stream_rig(
+        fast_config(mem=MemConfig(nodes=2)), OptimizationConfig.optimized(), queues=2,
+        impairments=ImpairmentConfig(plan=plan),
+    )
+    assert len(machine.pools) == 2
+    caps = [pool.capacity for pool in machine.pools]
+    sim.run(until=0.015)
+    during = [pool.capacity for pool in machine.pools]
+    assert during[0] is not None and during == [during[0]] * 2
+    sim.run(until=0.03)
+    assert [pool.capacity for pool in machine.pools] == caps
+
+
 def test_target_selects_a_single_link():
     plan = FaultPlan(specs=(
         FaultSpec("link_flap", start=0.01, duration=0.01, target="1"),
@@ -779,7 +798,7 @@ def test_armed_plan_with_repair_replays_bit_identically():
             stats.releases_in_order, stats.releases_deadline,
             stats.releases_overflow, stats.releases_flush,
             stats.deadline_fires, stats.max_hold_ns,
-            machine.governor.stats.mode_transitions,
+            machine.governors[0].stats.mode_transitions,
         )
 
     assert one_run() == one_run()

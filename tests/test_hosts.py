@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import OptimizationConfig
+from repro.core.config import OptimizationConfig, RepairConfig
 from repro.cpu.cpu import Cpu
 from repro.host.client import ClientHost
 from repro.host.kernel import Kernel
@@ -76,9 +76,23 @@ def test_machine_wires_one_nic_per_client(sim):
 
 def test_machine_aggregator_only_when_enabled(sim):
     base = ReceiverMachine(sim, fast_config(), OptimizationConfig.baseline(), ip=SERVER)
-    assert base.kernel.aggregator is None
+    assert base.kernel.aggregators == []
     opt = ReceiverMachine(sim, fast_config(), OptimizationConfig.optimized(), ip=SERVER)
-    assert opt.kernel.aggregator is not None
+    assert len(opt.kernel.aggregators) == 1
+
+
+@pytest.mark.parametrize(
+    "queues, opt",
+    [
+        (0, OptimizationConfig.optimized()),
+        (1, OptimizationConfig(receive_aggregation=False, repair=RepairConfig())),
+        (4, OptimizationConfig(receive_aggregation=False, repair=RepairConfig())),
+    ],
+    ids=["no-queue", "repair-without-aggregation-q1", "repair-without-aggregation-q4"],
+)
+def test_machine_rejects_invalid_layout(sim, queues, opt):
+    with pytest.raises(ValueError):
+        ReceiverMachine(sim, fast_config(), opt, queues=queues, ip=SERVER)
 
 
 def test_machine_routes_acks_back_through_arrival_nic(sim):

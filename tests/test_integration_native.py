@@ -76,7 +76,7 @@ def test_transfer_integrity_under_reordering(opt_name):
     if opt.receive_aggregation:
         # Reordered packets must have bypassed aggregation or broken chains,
         # never been coalesced out of order (§3.6 case 1).
-        stats = machine.kernel.aggregator.stats
+        stats = machine.kernel.aggregators[0].stats
         assert stats.flush_mismatch > 0 or stats.bypassed > 0
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import OptimizationConfig
-from repro.host.configs import linux_up_config
+from repro.host.configs import linux_up_config, xen_config
 from repro.workloads.many import (
     ManyConnWorkload,
     build_many_connection_rig,
@@ -20,6 +20,14 @@ def _run(duration=0.04, warmup=0.02, **kw):
         linux_up_config(), OptimizationConfig.optimized(), wl,
         duration=duration, warmup=warmup,
     )
+
+
+def test_xen_rig_gets_batched_links():
+    wl = ManyConnWorkload(**SMALL)
+    _sim, machine, _clients, _driver = build_many_connection_rig(
+        xen_config(), OptimizationConfig.optimized(), wl
+    )
+    assert machine.links[0].batch_window_s == wl.batch_window_s > 0
 
 
 def test_same_seed_is_event_identical():

@@ -336,7 +336,7 @@ class TestOwnershipMap:
         table = dict(machine.ownership_map())
         for q in range(4):
             assert table[f"{machine.nics[0].name}.q{q} ring"] == q
-            assert table[f"{machine.drivers[0][q].name} softirq"] == q
+            assert table[f"{machine.drivers[q].name} softirq"] == q
         # One aggregation engine per queue, owned by that queue's CPU.
         aggr_owners = sorted(
             owner for name, owner in table.items() if "aggr" in name

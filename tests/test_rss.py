@@ -146,14 +146,26 @@ def test_make_policy():
 
 
 def test_queues1_reproduces_figure12_quick_rows():
-    """The q=1 column of the RSS scaling sweep runs the Figure 12 rig
-    itself — the classic ReceiverMachine, not MqReceiverMachine(queues=1),
-    whose lock model and per-NIC aggregation engines differ — hence
-    bit-identical numbers."""
-    from repro.experiments import extension_rss_scaling, figure12_scalability
+    """One receive queue is the paper's single-path SMP rig: the Figure 12
+    quick 5-connection point, baseline and optimized, reproduces the
+    literals taken from that rig before the machines were one class."""
     from repro.experiments.base import QUICK_DURATION, QUICK_WARMUP
+    from repro.host.configs import OptimizationConfig, linux_smp_config
+    from repro.workloads.stream import run_stream_experiment
 
-    fig12_row = figure12_scalability._measure_point((5, QUICK_DURATION, QUICK_WARMUP))
-    rss_row = extension_rss_scaling._measure_point((1, 5, QUICK_DURATION, QUICK_WARMUP))
-    for col in ("Original Mb/s", "Optimized Mb/s", "gain %", "aggregation degree"):
-        assert rss_row[col] == fig12_row[col]  # bit-identical, not approx
+    expected = {
+        # (Mb/s, events_fired, cpu_utilization)
+        "baseline": (2841.32352, 55492, 1.0),
+        "optimized": (4707.27424, 85076, 0.8727581519999977),
+    }
+    for name, opt in (
+        ("baseline", OptimizationConfig.baseline()),
+        ("optimized", OptimizationConfig.optimized()),
+    ):
+        r = run_stream_experiment(
+            linux_smp_config(), opt, n_connections=5,
+            duration=QUICK_DURATION, warmup=QUICK_WARMUP, queues=1,
+        )
+        assert r.system == "Linux SMP"
+        # Bit-identical, not approx.
+        assert (r.throughput_mbps, r.events_fired, r.cpu_utilization) == expected[name]

@@ -76,7 +76,7 @@ class FakeConn:
 class FakeKernel:
     def __init__(self):
         self.connections = {}
-        self.aggregator = None
+        self.aggregators = []
 
 
 class FakeMachine:
@@ -85,6 +85,7 @@ class FakeMachine:
         self.cpus = []
         self.clients = []
         self.drivers = []
+        self.governors = []
         self.nics = []
 
 
@@ -324,7 +325,7 @@ class TestBrokenConnectionEndToEnd:
 
     def test_aggregation_counter_corruption_caught(self):
         def corrupt(machine):
-            machine.kernel.aggregator.stats.packets_enqueued += 7
+            machine.kernel.aggregators[0].stats.packets_enqueued += 7
 
         with pytest.raises(InvariantViolation, match="aggregation queue conservation"):
             self._run_with_corruption(corrupt)
@@ -350,7 +351,7 @@ class TestPacketStructureChecks:
             sim, machine, clients, senders = build_stream_rig(
                 fast_config(), OptimizationConfig.optimized()
             )
-            aggregator = machine.kernel.aggregator
+            aggregator = machine.kernel.aggregators[0]
             sim.run(until=0.005)  # wraps deliver via the sanitizer
             original = aggregator.deliver
 
@@ -469,7 +470,7 @@ class TestFaultInvariantTampering:
 
     def test_governor_transition_tamper_caught(self):
         def corrupt(machine):
-            machine.governor.stats.enters += 1  # flag no longer matches
+            machine.governors[0].stats.enters += 1  # flag no longer matches
 
         with pytest.raises(InvariantViolation, match="transition accounting"):
             self._run_with_corruption(corrupt, opt=OptimizationConfig.resilient())
@@ -502,14 +503,14 @@ class TestFaultInvariantTampering:
 
     def test_aggregator_pool_drop_tamper_caught(self):
         def corrupt(machine):
-            machine.kernel.aggregator.stats.dropped_no_buffer += 3
+            machine.kernel.aggregators[0].stats.dropped_no_buffer += 3
 
         with pytest.raises(InvariantViolation, match="aggregation segment conservation"):
             self._run_with_corruption(corrupt)
 
     def test_governor_sort_boundary_tamper_caught(self):
         def corrupt(machine):
-            machine.governor.stats.sort_enters += 1  # mode no longer matches
+            machine.governors[0].stats.sort_enters += 1  # mode no longer matches
 
         with pytest.raises(InvariantViolation, match="sort-boundary accounting"):
             self._run_with_corruption(
